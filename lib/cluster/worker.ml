@@ -2,6 +2,7 @@ module Campaign = Xentry_faultinject.Campaign
 module Pipeline = Xentry_core.Pipeline
 module Microboot = Xentry_recover.Microboot
 module Bounded_queue = Xentry_serve.Bounded_queue
+module Doorbell = Xentry_serve.Doorbell
 module Pool = Xentry_util.Pool
 module Rng = Xentry_util.Rng
 module Tm = Xentry_util.Telemetry
@@ -88,7 +89,7 @@ let campaign_loop conn ~jobs config =
 
 (* --- serve mode ------------------------------------------------------ *)
 
-let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining w =
+let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~bell ~draining w =
   let host =
     ref
       (Pipeline.create_host
@@ -129,38 +130,35 @@ let executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining w =
       send (P.Serve_response { seq; detected; shed = false })
     end
   in
-  let rec loop () =
-    match Bounded_queue.pop_opt queue with
-    | Some item ->
-        serve_one item;
-        loop ()
-    | None ->
-        if Bounded_queue.is_closed queue then ()
-        else begin
-          Stdlib.Domain.cpu_relax ();
-          Unix.sleepf 2e-4;
-          loop ()
-        end
-  in
-  loop ()
+  (* Every executor consumes the one queue; a closed queue still
+     drains, so an empty sweep after the close means done. *)
+  Doorbell.serve bell
+    ~closing:(fun () -> Bounded_queue.is_closed queue)
+    ~sweep:(fun () ->
+      match Bounded_queue.pop_opt queue with
+      | Some item ->
+          serve_one item;
+          true
+      | None -> false)
 
 let serve_loop conn ~jobs ~worker_index ~seed ~detection ~detector ~fuel =
   let cfg_cell =
     Atomic.make (Pipeline.Config.make ~detection ?detector ~fuel ())
   in
   let queue = Bounded_queue.create ~capacity:(max 16 (jobs * 64)) in
+  let bell = Doorbell.create () in
   let draining = Atomic.make false in
   let send_mutex = Mutex.create () in
   let send = send_locked send_mutex conn in
   let executors =
     Pool.spawn ~jobs
-      (executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~draining)
+      (executor_loop cfg_cell ~seed ~worker_index ~send ~queue ~bell ~draining)
   in
   let rec read_loop () =
     match P.recv conn with
     | Some (P.Serve_request { seq; req }) ->
         (match Bounded_queue.try_push queue (seq, req) with
-        | Ok () -> ()
+        | Ok () -> Doorbell.ring bell
         | Error (Bounded_queue.Full | Bounded_queue.Closed) ->
             Tm.incr tm_serve_shed;
             send (P.Serve_response { seq; detected = false; shed = true }));
@@ -184,6 +182,7 @@ let serve_loop conn ~jobs ~worker_index ~seed ~detection ~detector ~fuel =
      empty closed queue. *)
   Atomic.set draining true;
   Bounded_queue.close queue;
+  Doorbell.ring bell;
   ignore (Pool.join executors : unit array);
   goodbye conn
 

@@ -208,7 +208,7 @@ let tm_fast_forwarded = Tm.counter "campaign.fast_forwarded"
 let tm_simulated = Tm.counter "campaign.simulated"
 let tm_trace_hit = Tm.counter "campaign.trace.hit"
 let tm_trace_miss = Tm.counter "campaign.trace.miss"
-let tm_shard_wall = lazy (Tm.histogram "campaign.shard.ns")
+let tm_shard_wall = Tm.histogram "campaign.shard.ns"
 
 let record_shard_telemetry config records stats ~wall =
   let hw = ref 0 and sw = ref 0 and vm = ref 0 and ras = ref 0 and clean = ref 0 in
@@ -235,7 +235,7 @@ let record_shard_telemetry config records stats ~wall =
   Tm.add tm_simulated stats.simulated;
   Tm.add tm_trace_hit stats.trace_hits;
   Tm.add tm_trace_miss stats.trace_misses;
-  Tm.observe_span (Lazy.force tm_shard_wall) wall;
+  Tm.observe_span tm_shard_wall wall;
   Tm.event "campaign.shard"
     [
       ("seed", Tm.Int config.seed);

@@ -1,6 +1,6 @@
-(* Mutex-protected ring buffer.  The serve engine's ingress queues are
-   small (tens of slots) and polled by exactly one consumer, so a plain
-   lock beats cleverness: push/pop hold the lock for a handful of
+(* Mutex-protected ring buffer.  The ingress queues are small (tens to
+   a few thousand slots) and taken from by one or a few consumers, so a
+   plain lock beats cleverness: push/pop hold the lock for a handful of
    loads/stores, and the explicit [Full] reject — not blocking — is the
    whole point (backpressure must surface as a typed shed, never as a
    stalled producer). *)

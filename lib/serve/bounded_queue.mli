@@ -1,10 +1,12 @@
-(** Bounded single-consumer FIFO with typed rejection.
+(** Bounded FIFO with typed rejection.
 
-    The serve engine's ingress queues: the producer {!try_push}es and
+    The serve engines' ingress queues: the producer {!try_push}es and
     is told [Full] the instant a queue is at capacity — backpressure
     is an explicit, typed outcome (the engine sheds the request and
-    says why), never a blocked producer.  One worker polls with
-    {!pop_opt}.  All operations are domain-safe. *)
+    says why), never a blocked producer.  Consumers take with
+    {!pop_opt}, never blocking either: an idle consumer waits on a
+    {!Doorbell} the producer rings after each push.  Any number of
+    domains may push and pop; every operation is domain-safe. *)
 
 type 'a t
 

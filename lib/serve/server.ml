@@ -133,11 +133,14 @@ let tm_microboots = Tm.counter "serve.microboots"
 let tm_restarts = Tm.counter "serve.restarts"
 let tm_retrained = Tm.counter "serve.lifecycle.retrained"
 let tm_swapped = Tm.counter "serve.lifecycle.swapped"
-let tm_latency = lazy (Tm.histogram "serve.latency_us")
-let tm_level = lazy (Tm.histogram "serve.degraded_level")
-let tm_recovery = lazy (Tm.histogram "serve.recovery_us")
+let tm_latency = Tm.histogram "serve.latency_us"
+let tm_level = Tm.histogram "serve.degraded_level"
+let tm_recovery = Tm.histogram "serve.recovery_us"
 
 (* --- the engine ----------------------------------------------------- *)
+
+(* Generator-lag quantiles come from a reservoir of this many pushes. *)
+let lag_samples = 16_384
 
 type item = { it_req : Request.t; it_enqueued : float }
 
@@ -176,6 +179,8 @@ type summary = {
   shed_draining : int;
   throughput_rps : float;
   latency_us : float array; (* completed-request latencies, unsorted *)
+  generator_lag_p50_us : float; (* push time minus due time *)
+  generator_lag_p99_us : float;
   transitions : (float * int) list; (* (seconds since start, new rung) *)
   time_at_rung : float array; (* seconds, indexed by rung *)
   rung_names : string array;
@@ -229,16 +234,19 @@ type lifecycle = {
   lc_shadow : Shadow.t option Atomic.t;
 }
 
-(* One worker: owns a hypervisor for the service lifetime and polls
-   the queues of the streams it currently owns.  Stream i starts as
+(* One worker: owns a hypervisor for the service lifetime and sweeps
+   the queues of the streams it currently owns, blocking on the
+   service's doorbell while they are all empty.  Stream i starts as
    worker [i mod jobs]'s; ownership is dynamic only during a recovery
    window, when the rebooting worker hands its home streams to its
-   neighbour so their queues keep draining while it is down.  The
-   queue itself is mutex-protected, so the brief overlap at the
-   hand-off edges is safe; per-stream order still holds because at any
-   instant at most one worker is actively sweeping a given stream. *)
-let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
-    ~lifecycle ~owners w =
+   neighbour so their queues keep draining while it is down.  Every
+   hand-off rings the doorbell, so a sleeping neighbour wakes to sweep
+   the streams it just inherited.  The queue itself is mutex-protected,
+   so the brief overlap at the hand-off edges is safe; per-stream order
+   still holds because at any instant at most one worker is actively
+   sweeping a given stream. *)
+let worker_loop (cfg : config) queues ~t0 ~draining ~bell ~rung_cell
+    ~incumbent ~lifecycle ~owners w =
   let host =
     ref
       (Pipeline.create_host ~seed:(Rng.derive cfg.seed (0x5E12 + w))
@@ -299,7 +307,8 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
   let set_home_owner o =
     Array.iteri
       (fun i cell -> if i mod cfg.jobs = w then Atomic.set cell o)
-      owners
+      owners;
+    Doorbell.ring bell
   in
   (* The faulted host is condemned; recover a fresh one and replay the
      in-flight request on it, exactly once.  The request was admitted,
@@ -333,7 +342,7 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
     tally.t_recovery_s <- tally.t_recovery_s +. dt;
     tally.t_recovery_us <- (dt *. 1e6) :: tally.t_recovery_us;
     if !Tm.enabled_ref then
-      Tm.observe (Lazy.force tm_recovery) (int_of_float (dt *. 1e6));
+      Tm.observe tm_recovery (int_of_float (dt *. 1e6));
     if neighbour <> w then set_home_owner w;
     replayed
   in
@@ -442,10 +451,10 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
       end;
       Tm.incr tm_completed;
       if !Tm.enabled_ref then
-        Tm.observe (Lazy.force tm_latency) (int_of_float (latency *. 1e6))
+        Tm.observe tm_latency (int_of_float (latency *. 1e6))
     end
   in
-  let rec loop () =
+  let sweep () =
     let served = ref false in
     Array.iteri
       (fun i q ->
@@ -456,18 +465,12 @@ let worker_loop (cfg : config) queues ~t0 ~draining ~rung_cell ~incumbent
               serve_one item
           | None -> ())
       queues;
-    if !served then loop ()
-    else if Atomic.get draining then
-      (* Producer closes queues before we see [draining], and a closed
-         queue still drains — one last empty sweep means done. *)
-      ()
-    else begin
-      Stdlib.Domain.cpu_relax ();
-      Unix.sleepf 2e-4;
-      loop ()
-    end
+    !served
   in
-  loop ();
+  (* The producer pushes everything before it sets [draining], and a
+     closed queue still drains, so an empty sweep after [draining]
+     means done. *)
+  Doorbell.serve bell ~closing:(fun () -> Atomic.get draining) ~sweep;
   tally
 
 (* The retrain manager, run in its own domain so tree fitting never
@@ -588,10 +591,11 @@ let run (cfg : config) =
                manager_loop rt ~t0 ~stop:manager_stop ~incumbent lc))
     | _ -> None
   in
+  let bell = Doorbell.create () in
   let workers =
     Xentry_util.Pool.spawn ~jobs:cfg.jobs
-      (worker_loop cfg queues ~t0 ~draining ~rung_cell ~incumbent ~lifecycle
-         ~owners)
+      (worker_loop cfg queues ~t0 ~draining ~bell ~rung_cell ~incumbent
+         ~lifecycle ~owners)
   in
   let offered = ref 0 in
   let admitted = ref 0 in
@@ -604,27 +608,72 @@ let run (cfg : config) =
   let time_at_rung = Array.make rung_count 0. in
   let peak_occupancy = ref 0. in
   let last_tick = ref t0 in
+  let next_tick = ref t0 in
   let rate_at elapsed =
     match cfg.burst with
     | Some b when elapsed >= b.burst_start && elapsed < b.burst_end ->
         cfg.rate *. b.burst_factor
     | _ -> cfg.rate
   in
-  let carry = ref 0. in
   let sheds_last_tick = ref 0 in
-  while now () -. t0 < cfg.duration_s do
-    let t = now () in
+  (* How late each admitted push ran behind its due time, in µs: a
+     uniform reservoir sample over the whole run (algorithm R), so the
+     lag quantiles cost fixed memory however long the service runs. *)
+  let lags = Float.Array.create lag_samples in
+  let n_lags = ref 0 in
+  let lag_rng = Rng.create (Rng.derive cfg.seed 0x1A6) in
+  let record_lag us =
+    let k = !n_lags in
+    incr n_lags;
+    let slot = if k < lag_samples then k else Rng.int lag_rng (k + 1) in
+    if slot < lag_samples then Float.Array.set lags slot us
+  in
+  let shed () =
+    incr shed_queue_full;
+    incr sheds_last_tick;
+    Tm.incr tm_shed_full
+  in
+  let arrive ~due =
+    let s = !rr mod cfg.streams in
+    incr rr;
+    incr offered;
+    Tm.incr tm_offered;
+    let q = queues.(s) in
+    if Bounded_queue.length q >= Bounded_queue.capacity q then
+      (* Admission control without generation: the target queue is
+         already full, so the arrival sheds without paying to
+         synthesize the request.  This bounds the producer's work under
+         overload to what can actually be admitted — without it, a deep
+         overload burst turns into a generation backlog that destroys
+         the tick cadence (and with it the ladder's observation stream
+         and the duration bound). *)
+      shed ()
+    else begin
+      let req = Stream.next_request streams.(s) in
+      (* Stamped at the actual push: a paced arrival is pushed at its
+         due time give or take the producer's wake-up jitter, and a
+         stamp taken before generation would bill generation time as
+         queueing latency. *)
+      let pushed = now () in
+      match Bounded_queue.try_push q { it_req = req; it_enqueued = pushed } with
+      | Ok () ->
+          incr admitted;
+          Tm.incr tm_admitted;
+          record_lag ((pushed -. due) *. 1e6);
+          Doorbell.ring bell
+      | Error _ -> shed ()
+    end
+  in
+  (* One ladder observation, every [tick_s]. *)
+  let observe t =
     let dt = t -. !last_tick in
     last_tick := t;
     let elapsed = t -. t0 in
-    (* The ladder's occupancy signal, observed at tick start BEFORE
-       this tick's arrivals: the backlog the workers failed to drain
-       over a whole tick (sampling right after pushing a batch would
-       read one tick's arrivals as permanent load and pin the ladder
-       down forever).  A shed during the previous tick means a queue
-       was at capacity at push time — instantaneous occupancy reached
-       1.0 even if the workers drained it before this sample — so any
-       shed reports as full. *)
+    (* The ladder's occupancy signal: the backlog the workers have not
+       drained at tick start.  A shed since the previous tick means a
+       queue was at capacity at push time — instantaneous occupancy
+       reached 1.0 even if the workers drained it before this sample —
+       so any shed reports as full. *)
     let occupancy =
       if !sheds_last_tick > 0 then 1.0
       else
@@ -635,46 +684,6 @@ let run (cfg : config) =
         /. total_capacity
     in
     sheds_last_tick := 0;
-    (* Arrival accounting carries the fractional request across ticks,
-       so the offered load integrates to rate * duration regardless of
-       tick jitter. *)
-    carry := !carry +. (rate_at elapsed *. dt);
-    let arrivals = int_of_float !carry in
-    carry := !carry -. float_of_int arrivals;
-    for _ = 1 to arrivals do
-      let s = !rr mod cfg.streams in
-      incr rr;
-      incr offered;
-      Tm.incr tm_offered;
-      let q = queues.(s) in
-      if Bounded_queue.length q >= Bounded_queue.capacity q then begin
-        (* Admission control without generation: the target queue is
-           already full, so the arrival sheds without paying to
-           synthesize the request.  This bounds a tick's generation
-           work to what can actually be admitted — without it, a deep
-           overload burst turns into one enormous generation batch
-           that destroys the tick cadence (and with it the ladder's
-           observation stream and the duration bound). *)
-        incr shed_queue_full;
-        incr sheds_last_tick;
-        Tm.incr tm_shed_full
-      end
-      else begin
-        let req = Stream.next_request streams.(s) in
-        (* Stamped at the actual push, not tick start: generating a
-           batch takes real time, and a stale stamp would bill that
-           generation time as queueing latency. *)
-        match Bounded_queue.try_push q { it_req = req; it_enqueued = now () }
-        with
-        | Ok () ->
-            incr admitted;
-            Tm.incr tm_admitted
-        | Error _ ->
-            incr shed_queue_full;
-            incr sheds_last_tick;
-            Tm.incr tm_shed_full
-      end
-    done;
     if occupancy > !peak_occupancy then peak_occupancy := occupancy;
     let ladder', transition = Ladder.observe !ladder ~occupancy in
     ladder := ladder';
@@ -696,15 +705,54 @@ let run (cfg : config) =
             ]);
     time_at_rung.(Ladder.rung !ladder) <-
       time_at_rung.(Ladder.rung !ladder) +. dt;
-    if !Tm.enabled_ref then
-      Tm.observe (Lazy.force tm_level) (Ladder.rung !ladder);
-    Unix.sleepf cfg.tick_s
-  done;
+    if !Tm.enabled_ref then Tm.observe tm_level (Ladder.rung !ladder)
+  in
+  (* The paced producer.  [carry] integrates the offered rate over
+     time, so the offered load sums to rate x duration however late
+     the producer wakes; each whole request it accrues falls due at the
+     instant the integral crossed it, and is pushed then.  Between
+     pushes the producer sleeps until the next arrival is due, the next
+     ladder tick, or the end of the run, whichever comes first. *)
+  let t_end = t0 +. cfg.duration_s in
+  let carry = ref 0. in
+  let integrated = ref t0 in
+  let rec produce () =
+    let t = now () in
+    let running = t < t_end in
+    if running && t >= !next_tick then begin
+      observe t;
+      next_tick := t +. cfg.tick_s
+    end;
+    (* Arrivals due before the end are still offered when a late
+       wake-up overshoots it. *)
+    let t = Float.min t t_end in
+    let rate = rate_at (t -. t0) in
+    carry := !carry +. (rate *. (t -. !integrated));
+    integrated := t;
+    while !carry >= 1. do
+      let due = t -. ((!carry -. 1.) /. rate) in
+      carry := !carry -. 1.;
+      arrive ~due
+    done;
+    if running then begin
+      let next_due =
+        if rate > 0. then t +. ((1. -. !carry) /. rate) else t_end
+      in
+      let pause = Float.min (Float.min next_due !next_tick) t_end -. now () in
+      if pause > 0. then Unix.sleepf pause;
+      produce ()
+    end
+  in
+  produce ();
+  (* The last tick's rung holds until the end of the run. *)
+  time_at_rung.(Ladder.rung !ladder) <-
+    time_at_rung.(Ladder.rung !ladder) +. (t_end -. !last_tick);
   (* Shutdown: stop admitting, then let workers shed the backlog as
      [Draining] (a latency-bound service must not stretch its shutdown
      by executing stale work). *)
   Atomic.set draining true;
   Array.iter Bounded_queue.close queues;
+  Doorbell.ring bell;
   let tallies = Xentry_util.Pool.join workers in
   Atomic.set manager_stop true;
   let swaps, retrained, shadow_rejected =
@@ -742,6 +790,12 @@ let run (cfg : config) =
          (fun t -> List.rev_map (fun s -> s *. 1e6) t.t_latencies)
          (Array.to_list tallies))
   in
+  let generator_lag_us =
+    Array.init (min !n_lags lag_samples) (Float.Array.get lags)
+  in
+  let lag_quantile q =
+    if !n_lags = 0 then 0. else Xentry_util.Stats.quantile generator_lag_us q
+  in
   let mined, mine_dropped =
     match lifecycle with
     | Some lc ->
@@ -766,6 +820,8 @@ let run (cfg : config) =
     shed_draining;
     throughput_rps = throughput_of ~completed ~wall_s;
     latency_us;
+    generator_lag_p50_us = lag_quantile 0.5;
+    generator_lag_p99_us = lag_quantile 0.99;
     transitions = List.rev !transitions;
     time_at_rung;
     rung_names =
@@ -883,6 +939,8 @@ let summary_json (cfg : config) (s : summary) =
     (latency_quantile s 0.5) (latency_quantile s 0.9) (latency_quantile s 0.99)
     (if Array.length s.latency_us = 0 then 0.
      else Xentry_util.Stats.maximum s.latency_us);
+  add "  \"generator_lag_us\": {\"p50\": %.17g, \"p99\": %.17g},\n"
+    s.generator_lag_p50_us s.generator_lag_p99_us;
   add "  \"transitions\": [%s],\n"
     (String.concat ", "
        (List.map
@@ -909,11 +967,11 @@ let pp_summary ppf (s : summary) =
   Format.fprintf ppf
     "wall %.2fs offered %d admitted %d completed %d (%.0f req/s) shed %d \
      (%.1f%%: full %d, deadline %d, draining %d) p50 %.0fus p99 %.0fus \
-     transitions %d deepest %s final %s"
+     lag p50 %.0fus p99 %.0fus transitions %d deepest %s final %s"
     s.wall_s s.offered s.admitted s.completed s.throughput_rps (shed_total s)
     (100. *. shed_fraction s)
     s.shed_queue_full s.shed_deadline s.shed_draining (latency_quantile s 0.5)
-    (latency_quantile s 0.99)
+    (latency_quantile s 0.99) s.generator_lag_p50_us s.generator_lag_p99_us
     (List.length s.transitions)
     (rung_name s.deepest_rung) (rung_name s.final_rung);
   if s.injected > 0 || s.recoveries > 0 then

@@ -10,12 +10,19 @@
     {!Xentry_core.Pipeline.run} under the rung the degradation
     {!Ladder} currently prescribes (detection set + detector knob).
 
+    Arrivals are paced: the producer integrates the offered rate and
+    pushes each request at the instant it falls due, sleeping between
+    due times, so a request's latency (stamped at the push) is its own
+    queueing plus service, not a batch's.  An idle worker blocks on a
+    {!Doorbell} that every push, hand-off and shutdown rings.  Every
+    [tick_s] the producer also feeds aggregate queue occupancy to the
+    ladder; the tick drives only the ladder, never arrivals.
+
     Backpressure is explicit and typed ({!shed_reason}): a full queue
     sheds at admission, an expired deadline sheds at dequeue, and
-    shutdown sheds the backlog.  The producer ticks every [tick_s],
-    feeding aggregate queue occupancy to the ladder; every admission,
-    shed, completion, transition and latency is mirrored into
-    {!Xentry_util.Telemetry} ([serve.*]).
+    shutdown sheds the backlog.  Every admission, shed, completion,
+    transition and latency is mirrored into {!Xentry_util.Telemetry}
+    ([serve.*]).
 
     Accounting invariants (asserted by the serve-smoke test):
     [offered = admitted + shed_queue_full] and
@@ -98,7 +105,10 @@ type config = {
   jobs : int;  (** worker domains (the producer is separate) *)
   queue_capacity : int;  (** per-stream ingress bound *)
   ladder : Ladder.config;
-  tick_s : float;  (** producer tick: arrivals + ladder observation *)
+  tick_s : float;
+      (** ladder cadence: one occupancy observation per tick.  {!run}
+          paces arrivals independently of it; the cluster front still
+          generates its arrivals once per tick. *)
   seed : int;
   max_samples : int;  (** latency samples retained across all workers *)
 }
@@ -165,6 +175,12 @@ type summary = {
   latency_us : float array;
       (** enqueue-to-completion latencies of completed requests
           (unsorted; capped at [max_samples]) *)
+  generator_lag_p50_us : float;
+      (** median of push time minus due time over admitted requests:
+          how late the paced producer ran against the open-loop
+          arrival schedule (0 when nothing was admitted; estimated
+          from a uniform sample of 16,384 pushes on longer runs) *)
+  generator_lag_p99_us : float;
   transitions : (float * int) list;
       (** ladder transitions: (seconds since start, new rung index) *)
   time_at_rung : float array;  (** seconds, indexed by rung *)

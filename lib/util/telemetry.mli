@@ -13,8 +13,10 @@
     pre-check {!enabled_ref} — a plain [bool ref], one load and one
     predictable branch — so a disabled build pays near zero in the
     interpreter hot loop.  Metric {e registration} ([counter],
-    [histogram]) is cheap but mutex-protected: create metrics once at
-    module level, not per call.
+    [histogram]) is cheap but mutex-protected: create metrics once,
+    eagerly at module level — not per call, and not behind a
+    module-level [lazy], which raises [Lazy.Undefined] when two
+    domains force it for the first time at once.
 
     {b Domain safety.}  Counters are sharded [Atomic.t] cells (merged
     on read).  Histograms and events accumulate into per-domain buffers

@@ -79,12 +79,19 @@ let checkpoint dir =
   | Ok cp -> cp
   | Error e -> fail "journal: %s" (Journal.open_error_message e)
 
+(* Every process, workers included, runs under the watchdog: a hang
+   must fail the run with a message, and an orphaned hung worker would
+   otherwise hold the test's output open. *)
+let watchdog_s = 300.
+
 let () =
   match Sys.argv with
   | [| _; "--worker"; sock; jobs |] ->
-      Worker.run ~jobs:(int_of_string jobs)
-        ~connect:(Protocol.Unix_sock sock) ()
+      Watchdog.run ~seconds:watchdog_s "cluster_smoke worker" (fun () ->
+          Worker.run ~jobs:(int_of_string jobs)
+            ~connect:(Protocol.Unix_sock sock) ())
   | _ ->
+      Watchdog.run ~seconds:watchdog_s "cluster_smoke" @@ fun () ->
       let baseline = Campaign.execute { config with Campaign.jobs = Some 1 } in
       (* 1: clean distributed run. *)
       in_scratch "clean" (fun dir ->

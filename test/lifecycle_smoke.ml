@@ -361,11 +361,19 @@ let cluster () =
      completed, conservation holds)\n%!"
     workers want s.Front.completed
 
+(* Every process, workers included, runs under the watchdog: a lost
+   wake-up must fail the run with a message, and an orphaned hung
+   worker would otherwise hold the test's output open. *)
+let watchdog_s = 300.
+
 let () =
   match Sys.argv with
   | [| _; "--worker"; sock; jobs |] ->
-      CWorker.run ~jobs:(int_of_string jobs) ~connect:(CP.Unix_sock sock) ()
+      Watchdog.run ~seconds:watchdog_s "lifecycle_smoke worker" (fun () ->
+          CWorker.run ~jobs:(int_of_string jobs)
+            ~connect:(CP.Unix_sock sock) ())
   | _ ->
+      Watchdog.run ~seconds:watchdog_s "lifecycle_smoke" @@ fun () ->
       single_process ();
       cluster ();
       print_endline "lifecycle_smoke: all checks passed"

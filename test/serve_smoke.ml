@@ -143,13 +143,14 @@ let check_degraded_verdicts () =
   done
 
 let () =
+  (* Idle workers block on a doorbell: a lost wake-up is a hang, which
+     the watchdog turns into a failure with a message. *)
+  Watchdog.run ~seconds:300. "serve_smoke" @@ fun () ->
   (* Calibrate before telemetry is on so serve.* counters cover
      exactly the measured run. *)
-  (* Queue capacity must exceed one producer tick's per-stream arrival
-     batch at the steady rate, or admission sheds every tick and the
-     service can never look calm: 0.5 x capacity / 4 streams x 2 ms is
-     ~50 requests/queue/tick on a fast machine, so 256 slots leave
-     headroom while still filling within a few ticks of 2x overload. *)
+  (* Arrivals are paced, so at the steady rate the queues hold a few
+     requests at most; 256 slots per stream still fill within a few
+     ticks of the overload burst. *)
   let base =
     Serve.make ~benchmark:Profile.Postmark ~streams:4 ~jobs:2
       ~queue_capacity:256 ~duration_s:2.0 ~seed:2014 ~rate:1.0 ()

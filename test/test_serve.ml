@@ -109,6 +109,155 @@ let test_queue_rejects_bad_capacity () =
     (Invalid_argument "Bounded_queue.create: capacity 0") (fun () ->
       ignore (Bounded_queue.create ~capacity:0))
 
+(* --- doorbell: no lost wake-up under random schedules ------------------- *)
+
+(* The serve engine's hand-off protocol in miniature: 1-3 consumer
+   domains each sweep the streams they currently own and block on one
+   doorbell between empty sweeps; the producer rings after every
+   successful push and every ownership hand-off, then closes.  An
+   [await] step spins until everything pushed so far is consumed: the
+   next push then lands just as a consumer turns idle, the window where
+   a wake-up can be lost.  A lost wake-up leaves a consumer (or the
+   awaiting producer) blocked forever, so the whole property runs under
+   the watchdog: it fails with a message instead of hanging. *)
+
+type wop = W_push of int | W_gap of int | W_handoff of int * int | W_await
+
+let wop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun s -> W_push s) (int_bound 3));
+        (2, map (fun us -> W_gap us) (int_bound 300));
+        (2, map2 (fun s c -> W_handoff (s, c)) (int_bound 3) (int_bound 2));
+        (3, return W_await);
+      ])
+
+let wake_arbitrary =
+  QCheck.make
+    ~print:(fun (consumers, streams, cap, ops) ->
+      Printf.sprintf "consumers=%d streams=%d capacity=%d ops=[%s]" consumers
+        streams cap
+        (String.concat "; "
+           (List.map
+              (function
+                | W_push s -> Printf.sprintf "push %d" s
+                | W_gap us -> Printf.sprintf "gap %dus" us
+                | W_handoff (s, c) -> Printf.sprintf "stream %d -> %d" s c
+                | W_await -> "await")
+              ops)))
+    QCheck.Gen.(
+      quad (int_range 1 3) (int_range 1 4) (int_range 1 8)
+        (list_size (int_range 0 80) wop_gen))
+
+let consumed_exactly_once (consumers, streams, cap, ops) =
+  let bell = Doorbell.create () in
+  let queues =
+    Array.init streams (fun _ -> Bounded_queue.create ~capacity:cap)
+  in
+  let owners = Array.init streams (fun s -> Atomic.make (s mod consumers)) in
+  let closing = Atomic.make false in
+  (* Item ids are op indices; takes.(id) counts how often it was consumed. *)
+  let takes = Array.init (List.length ops) (fun _ -> Atomic.make 0) in
+  let consumer c () =
+    Doorbell.serve bell
+      ~closing:(fun () -> Atomic.get closing)
+      ~sweep:(fun () ->
+        let served = ref false in
+        Array.iteri
+          (fun s q ->
+            if Atomic.get owners.(s) = c then
+              match Bounded_queue.pop_opt q with
+              | Some id ->
+                  served := true;
+                  Atomic.incr takes.(id)
+              | None -> ())
+          queues;
+        !served)
+  in
+  let domains = List.init consumers (fun c -> Domain.spawn (consumer c)) in
+  let pushed = Array.make (List.length ops) false in
+  List.iteri
+    (fun id op ->
+      match op with
+      | W_push s -> (
+          match Bounded_queue.try_push queues.(s mod streams) id with
+          | Ok () ->
+              pushed.(id) <- true;
+              Doorbell.ring bell
+          | Error _ -> ())
+      | W_gap us -> Unix.sleepf (float_of_int us *. 1e-6)
+      | W_handoff (s, c) ->
+          Atomic.set owners.(s mod streams) (c mod consumers);
+          Doorbell.ring bell
+      | W_await ->
+          for j = 0 to id - 1 do
+            if pushed.(j) then
+              while Atomic.get takes.(j) = 0 do
+                Domain.cpu_relax ()
+              done
+          done)
+    ops;
+  Atomic.set closing true;
+  Array.iter Bounded_queue.close queues;
+  Doorbell.ring bell;
+  (* Every consumer must return after the close. *)
+  List.iter Domain.join domains;
+  Array.for_all2
+    (fun was_pushed n -> Atomic.get n = if was_pushed then 1 else 0)
+    pushed takes
+
+let test_doorbell_no_lost_wakeup () =
+  Watchdog.run ~seconds:120. "doorbell schedule property" (fun () ->
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:300
+           ~name:"every pushed item is consumed exactly once"
+           wake_arbitrary consumed_exactly_once))
+
+(* --- paced producer ----------------------------------------------------- *)
+
+module Tm = Xentry_util.Telemetry
+
+(* A short run at a low fixed rate: the offered load must integrate to
+   rate x duration (arrivals are paced, not tick-batched), and the
+   ladder must still be observed once per tick over the whole run. *)
+let test_paced_arrivals () =
+  let rate = 400. and duration_s = 0.6 and tick_s = 0.01 in
+  let cfg =
+    Server.make ~benchmark:Xentry_workload.Profile.Postmark ~streams:2 ~jobs:1
+      ~duration_s ~tick_s ~seed:7 ~rate ()
+  in
+  Tm.reset ();
+  Tm.enable ();
+  let s =
+    Watchdog.run ~seconds:60. "paced Server.run" (fun () -> Server.run cfg)
+  in
+  Tm.disable ();
+  let ticks = Tm.histogram_count (Tm.histogram "serve.degraded_level") in
+  Tm.reset ();
+  let expected = rate *. duration_s in
+  if Float.abs (float_of_int s.Server.offered -. expected) > rate *. tick_s then
+    Alcotest.failf "offered %d, expected %.0f within %.0f" s.Server.offered
+      expected (rate *. tick_s);
+  Alcotest.(check int) "offered = admitted + shed_queue_full" s.Server.offered
+    (s.Server.admitted + s.Server.shed_queue_full);
+  Alcotest.(check int) "admitted = completed + shed_deadline + shed_draining"
+    s.Server.admitted
+    (s.Server.completed + s.Server.shed_deadline + s.Server.shed_draining);
+  let at_rungs = Array.fold_left ( +. ) 0. s.Server.time_at_rung in
+  if at_rungs > s.Server.wall_s || at_rungs < 0.9 *. s.Server.wall_s then
+    Alcotest.failf "time at rungs sums to %.4f s over a %.4f s wall" at_rungs
+      s.Server.wall_s;
+  (* Observations are at least a tick apart; a loaded host may stretch
+     some, but not halve the cadence. *)
+  let cadence = duration_s /. tick_s in
+  if float_of_int ticks > cadence +. 1. || float_of_int ticks < cadence /. 2.
+  then Alcotest.failf "%d ladder observations, expected ~%.0f" ticks cadence;
+  (* Pushes happen at or after their due time. *)
+  Alcotest.(check bool) "generator lag is non-negative" true
+    (s.Server.generator_lag_p50_us >= 0.
+    && s.Server.generator_lag_p99_us >= s.Server.generator_lag_p50_us)
+
 (* --- ladder: every transition, down and up -------------------------------- *)
 
 let rung_idx = Alcotest.int
@@ -336,6 +485,16 @@ let () =
           Alcotest.test_case "close and drain" `Quick test_queue_close;
           Alcotest.test_case "capacity validation" `Quick
             test_queue_rejects_bad_capacity;
+        ] );
+      ( "doorbell",
+        [
+          Alcotest.test_case "no lost wake-up under random schedules" `Quick
+            test_doorbell_no_lost_wakeup;
+        ] );
+      ( "paced producer",
+        [
+          Alcotest.test_case "offered load, ladder cadence, conservation"
+            `Quick test_paced_arrivals;
         ] );
       ( "ladder",
         [
