@@ -70,6 +70,19 @@ let jobs = ref (Pool.default_jobs ())
 let json_path : string option ref = ref None
 let telemetry_path : string option ref = ref (Sys.getenv_opt "XENTRY_TELEMETRY")
 
+(* Gates that failed this run.  [fatal] records one, prints it and
+   exits 1; the --json record is written at exit either way, so a
+   failed run still leaves one. *)
+let failed_gates : string list ref = ref []
+
+let fatal fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "FATAL: %s\n%!" msg;
+      failed_gates := msg :: !failed_gates;
+      exit 1)
+    fmt
+
 (* --json accumulators: per-phase and per-experiment wall clock plus
    the campaign sizes behind them. *)
 let phase_timings : (string * float * int) list ref = ref []
@@ -96,12 +109,12 @@ let trained =
      printf
        "[pipeline] training detector: %d training + %d testing injections (jobs %d)...\n%!"
        train_injections test_injections !jobs;
-     let t0 = Unix.gettimeofday () in
+     let t0 = Clock.monotonic () in
      let result =
        Training.default_pipeline ~jobs:!jobs ~seed:2014 ~train_injections
          ~test_injections ()
      in
-     let dt = Unix.gettimeofday () -. t0 in
+     let dt = Clock.monotonic () -. t0 in
      printf "[pipeline] done in %.1fs\n%!" dt;
      record_phase "pipeline" dt (train_injections + test_injections);
      result)
@@ -113,7 +126,7 @@ let campaign_records =
     (let per_benchmark = scaled (30_000 / 6) in
      printf "[campaign] %d injections x %d benchmarks (jobs %d)...\n%!"
        per_benchmark (List.length benchmarks) !jobs;
-     let t0 = Unix.gettimeofday () in
+     let t0 = Clock.monotonic () in
      let det = Lazy.force detector in
      let records =
        List.mapi
@@ -124,7 +137,7 @@ let campaign_records =
                   ~injections:per_benchmark ~seed:(77 + (i * 1009)) ()) ))
          benchmarks
      in
-     let dt = Unix.gettimeofday () -. t0 in
+     let dt = Clock.monotonic () -. t0 in
      printf "[campaign] done in %.1fs\n%!" dt;
      record_phase "coverage-campaign" dt (per_benchmark * List.length benchmarks);
      records)
@@ -849,9 +862,9 @@ let speedup () =
     Campaign.Config.make ~benchmark:Profile.Postmark ~injections ~seed:2014 ()
   in
   let timed j =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let records = Campaign.execute { config with Campaign.jobs = Some j } in
-    (Unix.gettimeofday () -. t0, records)
+    (Clock.monotonic () -. t0, records)
   in
   let serial_s, serial_records = timed 1 in
   let parallel_s, parallel_records = timed par_jobs in
@@ -901,9 +914,9 @@ let resume () =
     | Error e -> failwith (Xentry_store.Journal.open_error_message e)
   in
   let timed ?checkpoint () =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let records = Campaign.execute ?checkpoint config in
-    (Unix.gettimeofday () -. t0, records)
+    (Clock.monotonic () -. t0, records)
   in
   (* Four runs of the same campaign: no journal; journaling every
      shard as it completes (cold); replaying a complete journal
@@ -933,8 +946,7 @@ let resume () =
     (plain_s /. Float.max 1e-9 half_s);
   printf "records bit-identical across all four runs: %b\n" identical;
   if not identical then begin
-    Printf.eprintf "FATAL: journaled campaign records diverged\n%!";
-    exit 1
+    fatal "journaled campaign records diverged"
   end;
   record_phase "resume-plain" plain_s injections;
   record_phase "resume-cold" cold_s injections;
@@ -943,7 +955,7 @@ let resume () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* Campaign planner: def-use pruning + snapshot fast-forwarding        *)
+(* Campaign planner: def-use pruning + fork-at-activation             *)
 (* ------------------------------------------------------------------ *)
 
 type campaign_bench = {
@@ -964,7 +976,7 @@ let campaign_bench_result : campaign_bench option ref = ref None
 
 let campaign () =
   print
-    (R.section "Campaign planner: def-use pruning + snapshot fast-forwarding");
+    (R.section "Campaign planner: def-use pruning + fork-at-activation");
   let injections = scaled 500 in
   let faults_per_run = 64 in
   let total = injections * faults_per_run in
@@ -979,7 +991,7 @@ let campaign () =
   let fuel = 2_000 in
   let base =
     Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark ~injections
-      ~seed:2014 ~fuel ~faults_per_run ~prune:true ~snapshot_interval:64 ()
+      ~seed:2014 ~fuel ~faults_per_run ~prune:true ()
   in
   let dir =
     Filename.concat
@@ -993,9 +1005,9 @@ let campaign () =
     | Error e -> failwith (Xentry_store.Trace_cache.open_error_message e)
   in
   let timed ?traces config =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let records, stats = Campaign.execute_with_stats ?traces config in
-    (Unix.gettimeofday () -. t0, records, stats)
+    (Clock.monotonic () -. t0, records, stats)
   in
   (* Four runs: the pre-planner campaign shape (planner off AND no
      golden sharing — one golden run per injection, exactly the loop
@@ -1009,8 +1021,7 @@ let campaign () =
   let legacy_s, _, _ =
     timed
       (Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark
-         ~injections:total ~seed:2014 ~fuel ~faults_per_run:1 ~prune:false
-         ~snapshot_interval:64 ())
+         ~injections:total ~seed:2014 ~fuel ~faults_per_run:1 ~prune:false ())
   in
   let exhaustive_s, exhaustive_records, _ =
     timed { base with Campaign.prune = false }
@@ -1051,8 +1062,7 @@ let campaign () =
     (100.0 *. ff_fraction) stats.Campaign.simulated stats.Campaign.planned;
   printf "records bit-identical (exhaustive = cold = warm): %b\n" identical;
   if not identical then begin
-    Printf.eprintf "FATAL: planned campaign records diverged from exhaustive\n%!";
-    exit 1
+    fatal "planned campaign records diverged from exhaustive"
   end;
   record_phase "campaign-legacy" legacy_s total;
   record_phase "campaign-exhaustive" exhaustive_s total;
@@ -1167,11 +1177,8 @@ let serve () =
     || s.Serve.admitted
        <> s.Serve.completed + s.Serve.shed_deadline + s.Serve.shed_draining
   then begin
-    Printf.eprintf
-      "FATAL: serve accounting broke under the fault storm (lost or \
-       duplicated requests)\n\
-       %!";
-    exit 1
+    fatal "serve accounting broke under the fault storm (lost or \
+       duplicated requests)"
   end;
   if s.Serve.recoveries = 0 then
     printf "  (no fault detected this run: recovery path not exercised)\n";
@@ -1183,7 +1190,7 @@ let serve () =
   let module O = Xentry_lifecycle.Optimizer in
   let module Ladder = Xentry_serve.Ladder in
   let det = Lazy.force detector in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   let ocfg =
     O.default_config ~seed:2014
       ~injections:(max 200 (scaled 600))
@@ -1191,7 +1198,7 @@ let serve () =
       ~jobs:!jobs ~benchmark:Profile.Postmark ()
   in
   let sweep = O.sweep ~detector_version:(Detector.version det) ocfg ~detector:det in
-  record_phase "optimize-sweep" (Unix.gettimeofday () -. t0) ocfg.O.injections;
+  record_phase "optimize-sweep" (Clock.monotonic () -. t0) ocfg.O.injections;
   let front = sweep.O.front in
   let n_front = List.length front.Pareto.points in
   printf
@@ -1202,10 +1209,8 @@ let serve () =
     (fun p -> printf "  %s\n" (Format.asprintf "%a" Pareto.pp_point p))
     front.Pareto.points;
   if n_front < 3 then begin
-    Printf.eprintf
-      "FATAL: optimizer emitted %d non-dominated rungs (expected >= 3)\n%!"
-      n_front;
-    exit 1
+    fatal "optimizer emitted %d non-dominated rungs (expected >= 3)"
+      n_front
   end;
   let overload_pipeline = Pipeline.Config.make ~detector:det () in
   let overload cfg_ladder =
@@ -1254,12 +1259,9 @@ let serve () =
     float_of_int pareto.Serve.completed
     < 0.9 *. float_of_int fixed.Serve.completed
   then begin
-    Printf.eprintf
-      "FATAL: Pareto-driven ladder completed %d requests vs the fixed \
-       ladder's %d (must match or beat it)\n\
-       %!"
-      pareto.Serve.completed fixed.Serve.completed;
-    exit 1
+    fatal "Pareto-driven ladder completed %d requests vs the fixed \
+       ladder's %d (must match or beat it)"
+      pareto.Serve.completed fixed.Serve.completed
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1283,9 +1285,9 @@ let recover () =
       pipeline = Pipeline.Config.make ~fuel:4000 ();
     }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   let r = RecCampaign.run cfg in
-  record_phase "recover-campaign" (Unix.gettimeofday () -. t0) injections;
+  record_phase "recover-campaign" (Clock.monotonic () -. t0) injections;
   let rows =
     List.map
       (fun (c : RecCampaign.class_stats) ->
@@ -1324,13 +1326,10 @@ let recover () =
     r.RecCampaign.micro_state_lost > 0
     || r.RecCampaign.micro_work_recovered <> r.RecCampaign.detected
   then begin
-    Printf.eprintf
-      "FATAL: micro-reboot identity violated (recovered %d of %d detected, \
-       state lost %d)\n\
-       %!"
+    fatal "micro-reboot identity violated (recovered %d of %d detected, \
+       state lost %d)"
       r.RecCampaign.micro_work_recovered r.RecCampaign.detected
-      r.RecCampaign.micro_state_lost;
-    exit 1
+      r.RecCampaign.micro_state_lost
   end;
   recover_bench_result := Some r
 
@@ -1404,12 +1403,12 @@ let cluster () =
       List.iter reap_pid pids
     in
     match
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.monotonic () in
       let records =
         Coordinator.run ?checkpoint ?on_progress ~idle_timeout_s:30.
           ~listen:(CP.Unix_sock sock) config
       in
-      (Unix.gettimeofday () -. t0, records, pids)
+      (Clock.monotonic () -. t0, records, pids)
     with
     | r ->
         finish ();
@@ -1420,9 +1419,9 @@ let cluster () =
   in
   let eff s = float_of_int injections /. Float.max 1e-9 s in
   (* Baseline: one process holding the whole domain budget. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   let baseline = Campaign.execute { config with Campaign.jobs = Some domains } in
-  let base_s = Unix.gettimeofday () -. t0 in
+  let base_s = Clock.monotonic () -. t0 in
   record_phase "cluster-1-process" base_s injections;
   let legs = ref [ { clw = 1; clj = domains; cls = base_s; cli = true } ] in
   List.iter
@@ -1460,9 +1459,7 @@ let cluster () =
     (base_s /. Float.max 1e-9 leg4.cls)
     (Pool.recommended_jobs ());
   if not (List.for_all (fun l -> l.cli) legs) then begin
-    Printf.eprintf
-      "FATAL: distributed campaign records diverged from single-process run\n%!";
-    exit 1
+    fatal "distributed campaign records diverged from single-process run"
   end;
   (* Kill leg: SIGKILL one worker after the first shard lands; the
      journal plus lease reissue must still converge to the identical
@@ -1494,7 +1491,7 @@ let cluster () =
           let sock = Filename.concat dir "coord.sock" in
           let pids = List.init 2 (fun _ -> spawn_cluster_worker sock 2) in
           victim := Some (List.hd pids);
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.monotonic () in
           let records =
             match
               Coordinator.run ~checkpoint:(checkpoint ()) ~on_progress
@@ -1509,7 +1506,7 @@ let cluster () =
                 List.iter reap_pid pids;
                 raise e
           in
-          let kill_s = Unix.gettimeofday () -. t0 in
+          let kill_s = Clock.monotonic () -. t0 in
           let resumed =
             Campaign.execute ~checkpoint:(checkpoint ())
               { config with Campaign.jobs = Some 1 }
@@ -1522,9 +1519,7 @@ let cluster () =
              journal resume identical %b\n"
             kill_s identical resume_identical;
           if not (identical && resume_identical) then begin
-            Printf.eprintf
-              "FATAL: records diverged after mid-campaign worker kill/resume\n%!";
-            exit 1
+            fatal "records diverged after mid-campaign worker kill/resume"
           end;
           Some (kill_s, identical, resume_identical))
   in
@@ -1575,8 +1570,7 @@ let cluster () =
           summary.Front.workers_lost summary.Front.streams_remapped
           summary.Front.shed_worker_lost;
         if summary.Front.workers_lost < 1 then begin
-          Printf.eprintf "FATAL: serve kill leg never lost its worker\n%!";
-          exit 1
+          fatal "serve kill leg never lost its worker"
         end;
         Some (workers, summary))
   in
@@ -1733,9 +1727,9 @@ let micro () =
       List.iter
         (fun req ->
           Hypervisor.prepare host req;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.monotonic () in
           let r = Hypervisor.execute host req in
-          exec_time := !exec_time +. (Unix.gettimeofday () -. t0);
+          exec_time := !exec_time +. (Clock.monotonic () -. t0);
           steps := !steps + r.Mcpu.steps;
           Hypervisor.retire host req)
         reqs
@@ -1750,9 +1744,7 @@ let micro () =
   printf "  ref/fast results identical over %d requests: %b\n" n_reqs identical;
   micro_engine_result := Some (ref_sps, fast_sps, identical);
   if not identical then begin
-    Printf.eprintf
-      "FATAL: ref and fast engines diverged on the handler stream\n%!";
-    exit 1
+    fatal "ref and fast engines diverged on the handler stream"
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1769,13 +1761,13 @@ let classes () =
   let all = Array.to_list Fault.all_classes in
   printf "[classes] %d injections over %s (jobs %d)...\n%!" injections
     (Fault.classes_to_string all) !jobs;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   let records =
     Campaign.execute
       (Campaign.Config.make ~jobs:!jobs ~benchmark:Profile.Postmark
          ~injections ~seed:4242 ~fault_classes:all ())
   in
-  record_phase "class-campaign" (Unix.gettimeofday () -. t0) injections;
+  record_phase "class-campaign" (Clock.monotonic () -. t0) injections;
   let per_class = Report.by_class records in
   print
     (R.table
@@ -1855,8 +1847,7 @@ let json_escape s =
 let write_json path =
   match open_out path with
   | exception Sys_error msg ->
-      Printf.eprintf "[json] cannot write %s: %s\n%!" path msg;
-      exit 1
+      Printf.eprintf "[json] cannot write %s: %s\n%!" path msg
   | oc ->
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -2048,6 +2039,9 @@ let write_json path =
         rows;
       out "  ],\n");
   if Telemetry.enabled () then out "  \"telemetry\": %s,\n" (Telemetry.to_json ());
+  out "  \"failed_gates\": [%s],\n"
+    (String.concat ", "
+       (List.rev_map (fun g -> "\"" ^ json_escape g ^ "\"") !failed_gates));
   out "  \"experiments\": [\n";
   entries
     (fun (name, seconds) ->
@@ -2117,19 +2111,27 @@ let () =
      XENTRY_SCALE / -j / --engine to adjust)\n"
     scale !jobs
     (Mcpu.engine_name (Mcpu.default_engine ()));
+  (* Written on every exit — a [fatal] gate or an uncaught exception
+     included — with the experiments completed so far. *)
+  Option.iter (fun path -> at_exit (fun () -> write_json path)) !json_path;
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
       | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
+          let t0 = Clock.monotonic () in
+          (try f ()
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             failed_gates :=
+               Printf.sprintf "%s raised %s" name (Printexc.to_string e)
+               :: !failed_gates;
+             Printexc.raise_with_backtrace e bt);
           experiment_timings :=
-            (name, Unix.gettimeofday () -. t0) :: !experiment_timings
+            (name, Clock.monotonic () -. t0) :: !experiment_timings
       | None ->
           printf "unknown experiment %S; available: %s\n" name
             (String.concat ", " (List.map fst experiments)))
     to_run;
-  Option.iter write_json !json_path;
   Option.iter
     (fun path ->
       Telemetry.export_file path;

@@ -277,7 +277,7 @@ let train_quick_detector ~jobs ~seed ~benchmarks ~mode ~train_injections
 (* --- inject ------------------------------------------------------------------ *)
 
 let inject benchmark mode injections seed jobs engine detector_src checkpoint
-    no_prune faults_per_run snapshot_interval trace_cache workers telemetry
+    no_prune faults_per_run trace_cache workers telemetry
     fault_classes =
   apply_engine engine;
   let worker_dumps = ref [] in
@@ -326,7 +326,7 @@ let inject benchmark mode injections seed jobs engine detector_src checkpoint
   in
   let config =
     { (Campaign.Config.make ?detector ~benchmark ~injections ~seed
-         ~faults_per_run ~snapshot_interval ~fault_classes ())
+         ~faults_per_run ~fault_classes ())
       with
       Campaign.mode }
   in
@@ -481,18 +481,8 @@ let inject_cmd =
       & info [ "faults-per-run" ] ~docv:"N"
           ~doc:
             "Faults sampled per golden execution (default 1).  Amortizes \
-             the golden run — and, with pruning, the trace and snapshots — \
-             across $(docv) recorded injections.")
-  in
-  let snapshot_interval =
-    Arg.(
-      value & opt int 64
-      & info [ "snapshot-interval" ] ~docv:"STEPS"
-          ~doc:
-            "Dynamic steps between mid-run COW snapshots on recorded golden \
-             runs (default 64; 0 disables mid-run snapshots).  Smaller \
-             intervals shorten replayed suffixes at the cost of more \
-             clones.")
+             the golden run — and, with pruning, its trace — across \
+             $(docv) recorded injections.")
   in
   let fault_classes =
     let classes_conv =
@@ -535,7 +525,7 @@ let inject_cmd =
     Term.(
       const inject $ benchmark_arg $ mode_arg $ injections $ seed_arg
       $ jobs_arg $ engine_arg $ detector_src $ checkpoint $ no_prune
-      $ faults_per_run $ snapshot_interval $ trace_cache $ workers_arg
+      $ faults_per_run $ trace_cache $ workers_arg
       $ telemetry_arg $ fault_classes)
 
 (* --- train -------------------------------------------------------------------- *)
@@ -733,6 +723,28 @@ let front_summary_json workers (s : Xentry_cluster.Front.summary) =
 let serve benchmark mode duration streams rate deadline_us jobs queue_capacity
     seed engine workers recovery storm_window storm_prob retrain_on
     retrain_interval shadow_window retrain_dir rungs json telemetry =
+  (* The cluster front serves with detection only: refuse the options
+     it would otherwise accept and silently ignore. *)
+  (if workers > 0 then
+     let ignored =
+       List.filter_map
+         (fun (flag, set) -> if set then Some flag else None)
+         [
+           ("--storm", storm_window <> None);
+           ("--recovery", recovery <> Xentry_serve.Server.Keep_serving);
+           ("--retrain", retrain_on);
+           ("--rungs", rungs <> None);
+           ("--deadline-us", deadline_us <> None);
+         ]
+     in
+     if ignored <> [] then begin
+       Printf.eprintf
+         "xentry serve: %s not supported with --workers (only in-process \
+          serving honours %s)\n%!"
+         (String.concat ", " ignored)
+         (if List.length ignored = 1 then "it" else "them");
+       exit 2
+     end);
   apply_engine engine;
   let worker_dumps = ref [] in
   with_worker_telemetry telemetry worker_dumps @@ fun () ->
@@ -846,7 +858,8 @@ let serve_cmd =
     let doc =
       "Per-request queueing deadline in microseconds: requests still \
        queued past it are shed ($(b,deadline_expired)) instead of \
-       executed.  Default from $(b,XENTRY_DEADLINE_US), else no deadline."
+       executed.  Default from $(b,XENTRY_DEADLINE_US), else no deadline. \
+       In-process engine only (rejected with $(b,--workers))."
     in
     let env = Cmd.Env.info "XENTRY_DEADLINE_US" ~doc:"See option $(b,--deadline-us)." in
     let default =
@@ -894,7 +907,7 @@ let serve_cmd =
        hypervisor-private state, guest state preserved) and replays the \
        in-flight request, $(b,restart) boots a whole new hypervisor \
        (guest state lost).  Default from $(b,XENTRY_RECOVERY), else keep. \
-       In-process engine only (ignored with $(b,--workers))."
+       In-process engine only (rejected with $(b,--workers) unless keep)."
     in
     let env = Cmd.Env.info "XENTRY_RECOVERY" ~doc:"See option $(b,--recovery)." in
     let default =
@@ -916,7 +929,7 @@ let serve_cmd =
             "Fault-storm window in seconds since service start: each \
              request dequeued inside it is hit by a random architectural \
              bit flip with probability $(b,--storm-prob).  In-process \
-             engine only (ignored with $(b,--workers)).")
+             engine only (rejected with $(b,--workers)).")
   in
   let storm_prob =
     Arg.(
@@ -933,7 +946,7 @@ let serve_cmd =
              signatures from live traffic, retrain candidate detectors in \
              a background domain, shadow-score each candidate against the \
              incumbent, and hot-swap it in once it wins the gate.  \
-             In-process engine only (ignored with $(b,--workers)).")
+             In-process engine only (rejected with $(b,--workers)).")
   in
   let retrain_interval =
     Arg.(
@@ -966,7 +979,8 @@ let serve_cmd =
           ~doc:
             "Build the degradation ladder from a Pareto-front artifact \
              saved by $(b,xentry optimize --save) instead of the fixed \
-             full/runtime-only/filter-only sequence.")
+             full/runtime-only/filter-only sequence.  In-process engine \
+             only (rejected with $(b,--workers)).")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -120,7 +120,6 @@ let write_config buf (c : Campaign.Config.t) =
     fuel;
     hardened;
     prune;
-    snapshot_interval;
     jobs = _;
   } =
     c
@@ -135,8 +134,7 @@ let write_config buf (c : Campaign.Config.t) =
   W.str buf (Fault.classes_to_string fault_classes);
   W.int_ buf fuel;
   W.bool_ buf hardened;
-  W.bool_ buf prune;
-  W.int_ buf snapshot_interval
+  W.bool_ buf prune
 
 let read_config r =
   let seed = W.read_int r in
@@ -154,7 +152,6 @@ let read_config r =
   let fuel = W.read_int r in
   let hardened = W.read_bool r in
   let prune = W.read_bool r in
-  let snapshot_interval = W.read_int r in
   {
     Campaign.Config.seed;
     injections;
@@ -167,7 +164,6 @@ let read_config r =
     fuel;
     hardened;
     prune;
-    snapshot_interval;
     jobs = None;
   }
 

@@ -15,7 +15,6 @@ module Config = struct
     fuel : int;
     hardened : bool;
     prune : bool;
-    snapshot_interval : int;
     jobs : int option;
   }
 
@@ -24,7 +23,7 @@ module Config = struct
   let make ?detector ?(framework = Pipeline.full_detection)
       ?(fault_classes = [ Fault.Reg_single_bit ])
       ?(mode = Xentry_workload.Profile.PV) ?(fuel = 20_000) ?(hardened = false)
-      ?(faults_per_run = 1) ?prune ?(snapshot_interval = 64) ?jobs ~benchmark
+      ?(faults_per_run = 1) ?prune ?jobs ~benchmark
       ~injections ~seed () =
     let prune = match prune with Some p -> p | None -> prune_default () in
     {
@@ -39,7 +38,6 @@ module Config = struct
       fuel;
       hardened;
       prune;
-      snapshot_interval;
       jobs;
     }
 
@@ -53,12 +51,12 @@ module Config = struct
 
   (* The canonical encoding destructures EVERY field (warning 9 is an
      error in this repo), so adding a field without deciding whether it
-     belongs in the fingerprint refuses to compile.  Three fields are
+     belongs in the fingerprint refuses to compile.  Two fields are
      execution-only and excluded: [jobs] (campaigns are bit-identical
-     for any worker count), and [prune]/[snapshot_interval] (the
-     planner's verdict-identity invariant makes records bit-identical
-     with pruning and fast-forwarding on or off, enforced by the
-     prune-vs-exhaustive differential tests). *)
+     for any worker count) and [prune] (the planner's verdict-identity
+     invariant makes records bit-identical with pruning and
+     fast-forwarding on or off, enforced by the prune-vs-exhaustive
+     differential tests). *)
   let canonical ~detector_digest
       {
         seed;
@@ -73,7 +71,6 @@ module Config = struct
         fuel;
         hardened;
         prune = _;
-        snapshot_interval = _;
         jobs = _;
       } =
     String.concat ";"
@@ -114,7 +111,6 @@ module Config = struct
         fuel;
         hardened;
         prune = _;
-        snapshot_interval = _;
         jobs = _;
       } =
     String.concat ";"
@@ -140,7 +136,6 @@ type config = Config.t = {
   fuel : int;
   hardened : bool;
   prune : bool;
-  snapshot_interval : int;
   jobs : int option;
 }
 
@@ -416,72 +411,119 @@ let run_shard_exhaustive config =
 
 (* One shard, planned: per golden execution, classify every sampled
    fault against the golden trace; prune the dead ones, collapse
-   equivalence classes, and run only the representatives — each resumed
-   from the nearest snapshot at or before its injection step.  With
-   cached traces the golden run needs no recording and snapshots are
-   taken only where a survivor needs one (no snapshots at all when
-   everything prunes). *)
+   equivalence classes, and run only the representatives — each forked
+   off a golden execution paused at its activation step, so the dead
+   prefix before it is never re-simulated.
+
+   Cold (no cached trace), the golden run is recorded on the live host
+   first; the plan needs its trace.  A clone taken before it ([base],
+   O(1)) is kept, and only when a representative survives is the
+   golden run replayed on it, as far as the last pause.  When every
+   fault prunes — most golden runs of a sparse campaign — nothing is
+   replayed or forked.  With a cached trace the plan is known before
+   the golden run, so the live golden run itself pauses for the
+   forks. *)
 let run_shard_planned ?cached config =
   let profile = Xentry_workload.Profile.get config.benchmark in
   let request_rng, fault_rng = shard_rngs config in
   let host = shard_host config in
-  let n_faults = config.faults_per_run in
-  let periodic =
-    if config.snapshot_interval <= 0 then [| 0 |]
-    else
-      Array.init
-        ((config.fuel / config.snapshot_interval) + 1)
-        (fun k -> k * config.snapshot_interval)
-  in
   let records = ref [] in
   let pruned = ref 0 in
   let collapsed = ref 0 in
   let fast_forwarded = ref 0 in
   let simulated = ref 0 in
   let fresh_traces = ref [] in
-  (* Greatest snapshot at or before [step]; the step-0 snapshot (or, in
-     cached mode, the survivor's own clamped step) guarantees one
-     exists. *)
-  let nearest_snap snaps step =
-    let rec go best = function
-      | [] -> best
-      | s :: rest ->
-          if Hypervisor.snapshot_step s <= step then go (Some s) rest else best
-    in
-    match go None snaps with
-    | Some s -> s
-    | None -> failwith "Campaign: no snapshot at or before fault step"
+  (* Fault sampling draws from its own RNG stream, bounded by the
+     golden run's length. *)
+  let sample_faults ~steps =
+    let max_step = max 1 steps in
+    Array.init config.faults_per_run (fun _ ->
+        Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
   in
   let act_of (plan : Planner.plan) rep =
     match plan.Planner.dispositions.(rep) with
     | Planner.Run { act; _ } -> act
     | Planner.Pruned _ -> assert false
   in
-  (* Detected run plus the assertion-retry natural run for one
-     representative, from a caller-supplied materialize/resume pair
-     (snapshot-based on the cold path, fork-at-pause on the warm
-     path). *)
-  let faulted_pair ~materialize ~resume_on =
-    let det_host = materialize () in
-    Hypervisor.set_assertions_enabled det_host
-      config.framework.Framework.sw_assertions;
-    let det_result = resume_on det_host in
-    let det_ras = Hypervisor.drain_ras det_host in
-    match det_result.Cpu.stop with
-    | Cpu.Assertion_failure _ ->
-        let h = materialize () in
-        Hypervisor.set_assertions_enabled h false;
-        let r = resume_on h in
-        (det_result, det_ras, h, r)
-    | _ -> (det_result, det_ras, det_host, det_result)
+  (* Every representative's runs, forked off [src] while it executes
+     the golden run.  A representative pauses [src] at its activation
+     step, clamped to [last] (the golden run's last executed step) so
+     the pause always fires; injecting at the activation step from
+     there leaves the execution, and the derived record, bit-identical
+     to a full run, because the target is untouched between the
+     sampled step and activation.  Returns the sorted pause steps, the
+     pause callback, and the per-representative results it fills in:
+     the detected run, plus a natural run forked at the same pause
+     when an assertion cut the detected run short. *)
+  let fork_plan ~src ~last req faults (plan : Planner.plan) =
+    let by_step = Hashtbl.create 16 in
+    List.iter
+      (fun rep ->
+        let s = min (act_of plan rep) last in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt by_step s) in
+        Hashtbl.replace by_step s (rep :: prev))
+      plan.Planner.reps;
+    let pause_at =
+      Hashtbl.fold (fun s _ acc -> s :: acc) by_step []
+      |> List.sort compare |> Array.of_list
+    in
+    let pending = Array.make (Array.length faults) None in
+    let on_pause st =
+      (* Timed under the span name the benchmark's per-layer metrics
+         read. *)
+      let fork () =
+        Tm.with_span "campaign.snapshot.restore" (fun () ->
+            Hypervisor.clone src)
+      in
+      List.iter
+        (fun rep ->
+          let fault = faults.(rep) in
+          let inject =
+            Fault.to_injection { fault with Fault.step = act_of plan rep }
+          in
+          let resume h =
+            Tm.with_span "campaign.resume" (fun () ->
+                Hypervisor.resume_at h ~inject ~fuel:config.fuel st req)
+          in
+          let det_host = fork () in
+          Hypervisor.set_assertions_enabled det_host
+            config.framework.Framework.sw_assertions;
+          let det_result = resume det_host in
+          let det_ras = Hypervisor.drain_ras det_host in
+          let nat_host, nat_result =
+            match det_result.Cpu.stop with
+            | Cpu.Assertion_failure _ ->
+                let h = fork () in
+                Hypervisor.set_assertions_enabled h false;
+                (h, resume h)
+            | _ -> (det_host, det_result)
+          in
+          incr simulated;
+          if Cpu.run_state_steps st > 0 then incr fast_forwarded;
+          pending.(rep) <-
+            Some (fault, det_result, det_ras, nat_host, nat_result))
+        (List.rev
+           (Option.value ~default:[]
+              (Hashtbl.find_opt by_step (Cpu.run_state_steps st))))
+    in
+    (pause_at, on_pause, pending)
   in
-  (* Fault-indexed record assembly shared by both paths: pruned faults
-     share one synthesized record modulo their fault identity — the
-     verdict re-judges the same golden result each time, so the
-     synthesis (in particular the transition-detector classification
-     of the golden PMU) runs at most once per golden execution — and
-     collapsed class members share their representative's record. *)
-  let assemble req golden_result faults (plan : Planner.plan) ~record_of_rep =
+  (* Fault-indexed record assembly: representatives are classified
+     against the live host's golden final state; pruned faults share
+     one synthesized record modulo their fault identity — the verdict
+     re-judges the same golden result each time, so the synthesis (in
+     particular the transition-detector classification of the golden
+     PMU) runs at most once per golden execution — and collapsed class
+     members share their representative's record. *)
+  let assemble req golden_result faults (plan : Planner.plan) pending =
+    let rep_record =
+      Array.map
+        (Option.map (fun (fault, det_result, det_ras, nat_host, nat_result) ->
+             Tm.with_span "campaign.classify" (fun () ->
+                 classify_faulted config ~req ~host ~golden_result ~fault
+                   ~det_result ~det_ras ~nat_host ~nat_result)))
+        pending
+    in
     let pruned_template =
       lazy (synthesize_pruned config ~req ~golden_result faults.(0))
     in
@@ -491,53 +533,19 @@ let run_shard_planned ?cached config =
         | Planner.Pruned _ ->
             incr pruned;
             { (Lazy.force pruned_template) with Outcome.fault = faults.(i) }
-        | Planner.Run { rep; act = _ } ->
-            let r = record_of_rep rep in
-            if rep = i then r
-            else begin
-              (* A collapsed class member: same execution, its own
-                 fault identity.  Everything else in the record is
-                 shared with the representative. *)
-              incr collapsed;
-              { r with Outcome.fault = faults.(i) }
-            end
+        | Planner.Run { rep; act = _ } -> (
+            match rep_record.(rep) with
+            | None -> assert false
+            | Some r when rep = i -> r
+            | Some r ->
+                (* A collapsed class member: same execution, its own
+                   fault identity.  Everything else in the record is
+                   shared with the representative. *)
+                incr collapsed;
+                { r with Outcome.fault = faults.(i) })
       in
       records := record :: !records
     done
-  in
-  let emit req golden_result faults (plan : Planner.plan) snaps =
-    let rep_records = Array.make (Array.length faults) None in
-    List.iter
-      (fun rep ->
-        let fault = faults.(rep) in
-        (* Inject at the activation step, from the nearest snapshot at
-           or before it: the target is untouched between the sampled
-           step and activation, so skipping the dead interval leaves
-           the execution (and the derived record) bit-identical. *)
-        let act = act_of plan rep in
-        let snap = nearest_snap snaps act in
-        let inject = Fault.to_injection { fault with Fault.step = act } in
-        let materialize () =
-          Tm.with_span "campaign.snapshot.restore" (fun () ->
-              Hypervisor.restore snap)
-        in
-        let resume_on h =
-          Tm.with_span "campaign.resume" (fun () ->
-              Hypervisor.resume h snap ~inject ~fuel:config.fuel req)
-        in
-        let det_result, det_ras, nat_host, nat_result =
-          faulted_pair ~materialize ~resume_on
-        in
-        incr simulated;
-        if Hypervisor.snapshot_step snap > 0 then incr fast_forwarded;
-        rep_records.(rep) <-
-          Some
-            (Tm.with_span "campaign.classify" (fun () ->
-                 classify_faulted config ~req ~host ~golden_result ~fault
-                   ~det_result ~det_ras ~nat_host ~nat_result)))
-      plan.Planner.reps;
-    assemble req golden_result faults plan ~record_of_rep:(fun rep ->
-        match rep_records.(rep) with None -> assert false | Some r -> r)
   in
   for iter = 0 to config.injections - 1 do
     let req =
@@ -547,104 +555,47 @@ let run_shard_planned ?cached config =
     (match cached with
     | Some (traces : Golden_trace.t array) ->
         let trace = traces.(iter) in
-        (* Fault sampling is independent of the golden execution (its
-           own RNG stream; the bound comes from the cached trace), so
-           the plan is known before the golden run.  Each survivor's
-           host is forked straight off the paused golden run at its
-           resume step — no intermediate snapshot clone — and its
-           detected/natural suffixes execute during the pause; only
-           classification waits for the golden final state. *)
-        let max_step = max 1 trace.Golden_trace.result_steps in
-        let faults =
-          Array.init n_faults (fun _ ->
-              Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
+        let steps = trace.Golden_trace.result_steps in
+        let faults = sample_faults ~steps in
+        let plan =
+          Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults)
         in
-        let plan = Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults) in
-        (* Survivors grouped by the step their suffix resumes from:
-           the activation step, clamped to the last executed step so
-           the pause always fires. *)
-        let clamp = max 0 (trace.Golden_trace.result_steps - 1) in
-        let by_step = Hashtbl.create 16 in
-        List.iter
-          (fun rep ->
-            let s = min (act_of plan rep) clamp in
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt by_step s)
-            in
-            Hashtbl.replace by_step s (rep :: prev))
-          plan.Planner.reps;
-        let pause_at =
-          Hashtbl.fold (fun s _ acc -> s :: acc) by_step []
-          |> List.sort compare |> Array.of_list
-        in
-        let pending = Array.make (Array.length faults) None in
-        let on_pause st =
-          let reps =
-            Option.value ~default:[]
-              (Hashtbl.find_opt by_step (Cpu.run_state_steps st))
-          in
-          List.iter
-            (fun rep ->
-              let fault = faults.(rep) in
-              let act = act_of plan rep in
-              let inject =
-                Fault.to_injection { fault with Fault.step = act }
-              in
-              let materialize () =
-                Tm.with_span "campaign.snapshot.restore" (fun () ->
-                    Hypervisor.clone host)
-              in
-              let resume_on h =
-                Tm.with_span "campaign.resume" (fun () ->
-                    Hypervisor.resume_at h ~inject ~fuel:config.fuel st req)
-              in
-              let det_result, det_ras, nat_host, nat_result =
-                faulted_pair ~materialize ~resume_on
-              in
-              incr simulated;
-              if Cpu.run_state_steps st > 0 then incr fast_forwarded;
-              pending.(rep) <-
-                Some (fault, det_result, det_ras, nat_host, nat_result))
-            (List.rev reps)
+        let pause_at, on_pause, pending =
+          fork_plan ~src:host ~last:(max 0 (steps - 1)) req faults plan
         in
         let golden_result =
           Hypervisor.execute_paused host ~fuel:config.fuel ~pause_at ~on_pause
             req
         in
-        if golden_result.Cpu.steps <> trace.Golden_trace.result_steps then
+        if golden_result.Cpu.steps <> steps then
           failwith
             "Campaign: cached golden trace disagrees with the live golden \
              run (stale or corrupt trace cache)";
-        let rep_records = Array.make (Array.length faults) None in
-        List.iter
-          (fun rep ->
-            match pending.(rep) with
-            | None -> assert false
-            | Some (fault, det_result, det_ras, nat_host, nat_result) ->
-                rep_records.(rep) <-
-                  Some
-                    (Tm.with_span "campaign.classify" (fun () ->
-                         classify_faulted config ~req ~host ~golden_result
-                           ~fault ~det_result ~det_ras ~nat_host ~nat_result)))
-          plan.Planner.reps;
-        assemble req golden_result faults plan ~record_of_rep:(fun rep ->
-            match rep_records.(rep) with None -> assert false | Some r -> r)
+        assemble req golden_result faults plan pending
     | None ->
-        let golden_result, trace, snaps =
+        let base = Hypervisor.clone host in
+        let golden_result, trace =
           Tm.with_span "campaign.golden" (fun () ->
-              Hypervisor.execute_recorded host ~fuel:config.fuel
-                ~snapshot_at:periodic req)
+              Hypervisor.execute_recorded host ~fuel:config.fuel req)
         in
         fresh_traces := trace :: !fresh_traces;
-        let max_step = max 1 golden_result.Cpu.steps in
-        let faults =
-          Array.init n_faults (fun _ ->
-              Fault.sample ~classes:config.fault_classes fault_rng ~max_step)
-        in
+        let steps = golden_result.Cpu.steps in
+        let faults = sample_faults ~steps in
         let plan =
           Tm.with_span "campaign.plan" (fun () -> Planner.plan trace faults)
         in
-        emit req golden_result faults plan snaps);
+        let pause_at, on_pause, pending =
+          fork_plan ~src:base ~last:(max 0 (steps - 1)) req faults plan
+        in
+        (* Replay only as far as the last pause: a fuel of that step
+           stops the run right after it.  The replay's own result is
+           the golden one, already known. *)
+        let n = Array.length pause_at in
+        if n > 0 then
+          ignore
+            (Hypervisor.execute_paused base ~fuel:pause_at.(n - 1) ~pause_at
+               ~on_pause req);
+        assemble req golden_result faults plan pending);
     Hypervisor.retire host req
   done;
   let n = config.injections * config.faults_per_run in

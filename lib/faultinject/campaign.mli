@@ -25,9 +25,10 @@
     anything: faults whose flipped bit is provably overwritten before
     its next use are answered from the golden result with zero
     simulation, faults with identical def-use consequences collapse
-    into one representative run, and surviving runs fast-forward from
-    the nearest mid-run COW snapshot instead of re-executing the whole
-    prefix ({!Planner}).  The records are {e bit-identical} to the
+    into one representative run, and each surviving run is forked off
+    the golden run paused at its activation step instead of
+    re-executing the whole prefix ({!Planner}).  A golden run whose
+    faults all prune forks nothing.  The records are {e bit-identical} to the
     exhaustive path for any [jobs] value — enforced by differential
     tests — so pruning is purely a throughput optimization. *)
 
@@ -44,7 +45,7 @@ module Config : sig
     faults_per_run : int;
         (** faults sampled (and recorded) per golden execution
             (default 1).  Amortizes the golden run and, with pruning,
-            the trace and snapshots across many faults; records are
+            its trace across many faults; records are
             emitted in fault-sample order, [injections *
             faults_per_run] in total. *)
     benchmark : Xentry_workload.Profile.benchmark;
@@ -67,10 +68,6 @@ module Config : sig
             Execution-only: records are bit-identical either way, so
             it is excluded from {!canonical}.  Default: true unless
             [XENTRY_PRUNE=0]. *)
-    snapshot_interval : int;
-        (** dynamic steps between mid-run COW snapshots on recorded
-            golden runs (default 64; [<= 0] = only the step-0
-            snapshot).  Execution-only, excluded from {!canonical}. *)
     jobs : int option;
         (** worker domains; [None] = [Pool.default_jobs ()].
             Execution-only: records are bit-identical for any value,
@@ -86,7 +83,6 @@ module Config : sig
     ?hardened:bool ->
     ?faults_per_run:int ->
     ?prune:bool ->
-    ?snapshot_interval:int ->
     ?jobs:int ->
     benchmark:Xentry_workload.Profile.benchmark ->
     injections:int ->
@@ -95,8 +91,7 @@ module Config : sig
     t
   (** Defaults: PV mode, full detection, fuel 20_000, baseline
       handlers, one fault per run, pruning on (honouring
-      [XENTRY_PRUNE]), snapshots every 64 steps, [Pool.default_jobs]
-      workers. *)
+      [XENTRY_PRUNE]), [Pool.default_jobs] workers. *)
 
   val pipeline : t -> Xentry_core.Pipeline.Config.t
   (** The per-execution pipeline config a campaign applies to each
@@ -107,8 +102,8 @@ module Config : sig
     t ->
     string
   (** Canonical [key=value;…] encoding of every record-affecting field
-      ([jobs], [prune] and [snapshot_interval] excluded — the planner
-      invariant keeps records bit-identical across all of them).  The
+      ([jobs] and [prune] excluded — the planner invariant keeps
+      records bit-identical across both).  The
       implementation destructures the whole record, so adding a field
       forces a decision here — config and fingerprint cannot silently
       drift.  [detector_digest] renders the detector (the store digests
@@ -135,7 +130,6 @@ type config = Config.t = {
   fuel : int;
   hardened : bool;
   prune : bool;
-  snapshot_interval : int;
   jobs : int option;
 }
 (** Historical flat spelling of {!Config.t} (same type, via equation). *)
@@ -152,7 +146,7 @@ type stats = {
   collapsed : int;
       (** class members served by another fault's representative run *)
   fast_forwarded : int;
-      (** simulated runs resumed from a snapshot past step 0 *)
+      (** simulated runs forked off a golden run paused past step 0 *)
   simulated : int;  (** detected executions actually run *)
   trace_hits : int;  (** shards served by the trace cache *)
   trace_misses : int;  (** shards that recorded fresh traces *)
@@ -203,8 +197,8 @@ type trace_cache = {
     an on-disk directory keyed by {!Config.trace_canonical}.  A shard
     served by [trace_lookup] samples its faults and builds its plan
     {e before} the golden run, executes the golden run without
-    recording overhead, and snapshots only at surviving faults' steps
-    (none at all when everything prunes).  Only consulted when
+    recording overhead, and forks the surviving faults' runs off it
+    while it is paused at their activation steps.  Only consulted when
     [config.prune] is set; a cached list whose length does not match
     the shard is treated as a miss. *)
 
@@ -218,7 +212,7 @@ val execute :
     domains ([Pool.default_jobs ()] when [None], i.e. [XENTRY_JOBS] or
     serial) and merge in shard order, so the record list is
     bit-identical for every [jobs] value — and, by the planner
-    invariant, for [prune] on or off and any [snapshot_interval].
+    invariant, for [prune] on or off.
     With [checkpoint], already-journaled shards are served from
     [lookup] instead of being re-executed and each newly computed
     shard is [commit]ted as soon as it completes — a killed run

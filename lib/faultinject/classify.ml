@@ -19,45 +19,50 @@ type diff =
 let differs ga fa ~addr ~len =
   not (Memory.region_equal ga fa ~addr ~len)
 
-(* Per-domain sub-regions with their classes. *)
+(* Per-domain sub-regions with their classes: the saved user GPRs, one
+   8-byte slot each — compared only when the 128 bytes holding all of
+   them differ, which most faulted runs leave alone — then the rest. *)
+let gpr_slots dom =
+  let vcpu = Layout.vcpu_area ~dom ~vcpu:0 in
+  List.init Xentry_isa.Reg.gpr_count (fun i ->
+      (i, Int64.add vcpu (Int64.of_int (i * 8))))
+
 let dom_subregions dom =
   let vcpu = Layout.vcpu_area ~dom ~vcpu:0 in
   let vi = Layout.vcpu_info ~dom ~vcpu:0 in
   let si = Layout.shared_info dom in
-  List.concat
-    [
-      List.init Xentry_isa.Reg.gpr_count (fun i ->
-          (`Gpr_slot i, Int64.add vcpu (Int64.of_int (i * 8)), 8));
-      [
-        (`Cls User_ctl, Int64.add vcpu Layout.vcpu_user_rip, 16);
-        ( `Cls Traps,
-          Int64.add vcpu Layout.vcpu_pending_traps,
-          Layout.vcpu_trap_slots * 8 );
-        (`Cls Vcpu_event, Int64.add vi Layout.vi_upcall_pending, 16);
-        (`Cls Vcpu_time, Int64.add vi Layout.vi_time_version, 24);
-        (* Shared-info event bitmaps (kernel state)... *)
-        (`Cls Kernel, si, 0x80);
-        (* ...and the wallclock fields, which are time values. *)
-        (`Cls Vcpu_time, Int64.add si Layout.si_wc_sec, 16);
-        (`Cls Kernel, Layout.evtchn_entry ~dom ~port:0, Layout.evtchn_ports * 16);
-        (`Cls Kernel, Layout.grant_entry ~dom 0, Layout.grant_entries * 16);
-      ];
-    ]
+  [
+    (User_ctl, Int64.add vcpu Layout.vcpu_user_rip, 16);
+    (Traps, Int64.add vcpu Layout.vcpu_pending_traps, Layout.vcpu_trap_slots * 8);
+    (Vcpu_event, Int64.add vi Layout.vi_upcall_pending, 16);
+    (Vcpu_time, Int64.add vi Layout.vi_time_version, 24);
+    (* Shared-info event bitmaps (kernel state)... *)
+    (Kernel, si, 0x80);
+    (* ...and the wallclock fields, which are time values. *)
+    (Vcpu_time, Int64.add si Layout.si_wc_sec, 16);
+    (Kernel, Layout.evtchn_entry ~dom ~port:0, Layout.evtchn_ports * 16);
+    (Kernel, Layout.grant_entry ~dom 0, Layout.grant_entries * 16);
+  ]
 
 let diffs ~golden ~faulted =
   let ga = Hypervisor.memory golden and fa = Hypervisor.memory faulted in
   let acc = ref [] in
   let ndoms = Array.length (Hypervisor.domains golden) in
   for dom = 0 to ndoms - 1 do
+    if
+      differs ga fa ~addr:(Layout.vcpu_area ~dom ~vcpu:0)
+        ~len:(Xentry_isa.Reg.gpr_count * 8)
+    then
+      List.iter
+        (fun (i, addr) ->
+          if differs ga fa ~addr ~len:8 then
+            acc :=
+              Dom_diff { dom; cls = User_gpr (i, Memory.load64 ga addr) }
+              :: !acc)
+        (gpr_slots dom);
     List.iter
-      (fun (tag, addr, len) ->
-        if differs ga fa ~addr ~len then
-          let cls =
-            match tag with
-            | `Cls c -> c
-            | `Gpr_slot i -> User_gpr (i, Memory.load64 ga addr)
-          in
-          acc := Dom_diff { dom; cls } :: !acc)
+      (fun (cls, addr, len) ->
+        if differs ga fa ~addr ~len then acc := Dom_diff { dom; cls } :: !acc)
       (dom_subregions dom)
   done;
   List.iter

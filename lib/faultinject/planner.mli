@@ -18,8 +18,8 @@
       are bit-identical from the flip on, and one {e representative}
       run serves the whole class.  For the same reason the
       representative itself need not replay its dead interval:
-      injecting at the {e activation} step [act] — from a snapshot at
-      or before [act] rather than the sampled step — produces a
+      injecting at the {e activation} step [act] — from a fork of the
+      golden run paused at [act] rather than the sampled step — produces a
       bit-identical execution and verdict (the register is untouched
       between the sampled step and [act], and detection latency is
       measured from activation, not from injection).  A

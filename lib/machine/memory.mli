@@ -1,7 +1,10 @@
 (** Sparse, byte-addressable simulated physical memory.
 
     Memory is organized as 4 KiB pages allocated on demand inside
-    explicitly mapped regions.  Accesses outside mapped regions raise
+    explicitly mapped regions.  The page is the unit of mapping, of
+    {!Fault}s, of translation ({!page_of}, {!strike_tlb}) and of the
+    software TLB; copy-on-write between {!copy}-related memories works
+    in 512-byte blocks, eight per page.  Accesses outside mapped regions raise
     {!Fault}, which the CPU translates into a page-fault hardware
     exception — the mechanism behind most of the paper's
     hardware-exception detections (a bit-flipped pointer usually walks
@@ -50,11 +53,16 @@ val first_difference : t -> t -> addr:int64 -> len:int -> int64 option
 
 val copy : t -> t
 (** Snapshot via copy-on-write: every page is shared between source
-    and copy and frozen; either side's first write to a shared page
-    duplicates it privately, so the two memories never observe each
-    other's subsequent writes.  Cloning is O(pages) pointer work, not
-    O(bytes), and ranges neither side has written compare equal in
-    O(1) per page ({!first_difference} skips shared pages). *)
+    and copy and frozen, so the two memories never observe each
+    other's subsequent writes.  Either side's first write to a frozen
+    page re-binds that page to a fresh record sharing the old one's
+    eight 512-byte blocks and copies only the block written; later
+    writes to another shared block of that page copy just that block.
+    Cloning is O(1) in mapped pages, a fork pays 512 bytes per block
+    it writes (a minor-heap allocation, not a 4 KiB major-heap one),
+    and {!first_difference} skips page records and blocks the two
+    memories still share, without reading a byte.  Each block copy
+    counts once in the [memory.cow.privatise] telemetry counter. *)
 
 val page_of : int64 -> int64
 (** The page number an address belongs to ([addr >> 12]). *)
@@ -84,9 +92,10 @@ val page_count : t -> int
 (** Number of mapped pages. *)
 
 val private_pages : t -> int
-(** Pages this memory owns exclusively (written since the last
-    snapshot involving them); [page_count t - private_pages t] pages
-    are shared with or frozen by snapshots.  Observability hook for
+(** Pages this memory owns (mapped or written since the last snapshot
+    involving them; an owned page may still share some of its blocks
+    with a snapshot); [page_count t - private_pages t] pages are
+    shared with or frozen by snapshots.  Observability hook for
     benchmarks and the copy-on-write tests. *)
 
 val tlb_generation : t -> int

@@ -317,22 +317,14 @@ let clone t =
     exits = t.exits;
   }
 
-(* --- mid-run snapshots and fast-forwarding ----------------------------- *)
+(* --- mid-run snapshots and forks ---------------------------------------- *)
 
 (* A snapshot pairs a COW clone of the whole host taken at a pause
-   point of a golden run (memory is the only part that evolves during
-   a handler execution; scheduler, RNG and domain bookkeeping only
-   move in [prepare]/[retire]) with the CPU-side [run_state] captured
-   at the same step.  [restore]+[resume] from it re-executes exactly
-   the suffix of the run, bit-identical to a full re-execution from
-   the pre-run state. *)
-type snapshot = {
-  snap_step : int;
-  snap_host : t;
-  snap_state : Cpu.run_state;
-}
-
-let snapshot_step s = s.snap_step
+   point of a run (memory is the only part that evolves during a
+   handler execution; scheduler, RNG and domain bookkeeping only move
+   in [prepare]/[retire]) with the CPU-side [run_state] captured at
+   the same step. *)
+type snapshot = { snap_host : t; snap_state : Cpu.run_state }
 
 let dispatch t ?inject ~fuel ?on_step ?(pause_at = [||]) ?on_pause ?resume
     (req : Request.t) =
@@ -348,38 +340,33 @@ let dispatch t ?inject ~fuel ?on_step ?(pause_at = [||]) ?on_pause ?resume
         ~code_base:Layout.code_base ?inject ~fuel ?on_step ~pause_at ?on_pause
         ?resume ()
 
-let snapshot_collector t acc (st : Cpu.run_state) =
-  let snap_host = Telemetry.with_span "hv.snapshot.capture" (fun () -> clone t) in
-  acc :=
-    { snap_step = Cpu.run_state_steps st; snap_host; snap_state = st } :: !acc
-
 let execute_plain t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
   seed_cpu t req;
   t.exits <- t.exits + 1;
   let snaps = ref [] in
-  let result =
-    dispatch t ~fuel ~pause_at:snapshot_at ~on_pause:(snapshot_collector t snaps)
-      req
+  let on_pause st =
+    let snap_host =
+      Telemetry.with_span "hv.snapshot.capture" (fun () -> clone t)
+    in
+    snaps := { snap_host; snap_state = st } :: !snaps
   in
+  let result = dispatch t ~fuel ~pause_at:snapshot_at ~on_pause req in
   if !Telemetry.enabled_ref then record_execute t req result;
   (result, List.rev !snaps)
 
-let execute_recorded t ?(fuel = 50_000) ?(snapshot_at = [||]) (req : Request.t) =
+let execute_recorded t ?(fuel = 50_000) (req : Request.t) =
   seed_cpu t req;
   t.exits <- t.exits + 1;
   let program = Handlers.program ~hardened:t.hardened req.Request.reason in
   let recorder = Golden_trace.recorder ~meta:program.Xentry_isa.Program.meta in
-  let snaps = ref [] in
   Cpu.set_mem_hook t.cpu (Some (Golden_trace.mem_hook recorder));
   let result =
     Fun.protect
       ~finally:(fun () -> Cpu.set_mem_hook t.cpu None)
-      (fun () ->
-        dispatch t ~fuel ~on_step:(Golden_trace.on_step recorder)
-          ~pause_at:snapshot_at ~on_pause:(snapshot_collector t snaps) req)
+      (fun () -> dispatch t ~fuel ~on_step:(Golden_trace.on_step recorder) req)
   in
   if !Telemetry.enabled_ref then record_execute t req result;
-  (result, Golden_trace.finish recorder ~result, List.rev !snaps)
+  (result, Golden_trace.finish recorder ~result)
 
 (* --- RAS bank draining ------------------------------------------------- *)
 
@@ -390,12 +377,10 @@ let drain_ras t =
         Xentry_ras.Ras.Bank.drain bank)
   else Xentry_ras.Ras.Bank.drain bank
 
-(* Pause-driven execution without the snapshot middleman: the caller
-   sees each pause's [run_state] and can [clone] the host right there,
-   which is state-identical to [restore] of a snapshot captured at the
-   same pause but saves the intermediate capture clone.  The planner's
-   warm path (plan known before the golden run) forks every survivor
-   host this way. *)
+(* Pause-driven execution: the caller sees each pause's [run_state]
+   and can [clone] the host right there, then continue the clone with
+   [resume_at] — the campaign planner forks every surviving fault's
+   runs this way. *)
 let execute_paused t ?(fuel = 50_000) ~pause_at ~on_pause (req : Request.t) =
   seed_cpu t req;
   t.exits <- t.exits + 1;
@@ -403,17 +388,12 @@ let execute_paused t ?(fuel = 50_000) ~pause_at ~on_pause (req : Request.t) =
   if !Telemetry.enabled_ref then record_execute t req result;
   result
 
-let restore snap = clone snap.snap_host
-
 let resume_at t ?inject ?(fuel = 50_000) (st : Cpu.run_state) (req : Request.t)
     =
   t.exits <- t.exits + 1;
   let result = dispatch t ?inject ~fuel ~resume:st req in
   if !Telemetry.enabled_ref then record_execute t req result;
   result
-
-let resume t snap ?inject ?fuel (req : Request.t) =
-  resume_at t ?inject ?fuel snap.snap_state req
 
 let guest_output_regions t =
   let dom_regions =

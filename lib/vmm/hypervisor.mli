@@ -100,25 +100,25 @@ val drain_ras : t -> Xentry_ras.Ras.record list
     Idempotent when nothing new was logged; drain latency is recorded
     in the [ras.drain_latency.ns] telemetry histogram. *)
 
-(** {2 Golden-trace recording and mid-run snapshots}
+(** {2 Golden-trace recording and mid-run forks}
 
-    Campaign-planner substrate: {!execute_recorded} runs a prepared
+    Campaign-planner substrate.  {!execute_recorded} runs a prepared
     request while recording a {!Xentry_machine.Golden_trace.t} (the
-    per-step def/use record pruning consults) and taking COW
-    {!snapshot}s at chosen dynamic steps; {!restore}+{!resume}
-    re-execute only the suffix of a run from a snapshot, bit-identical
-    to a full re-execution from the pre-run state (a fault scheduled
-    at or after the snapshot step still fires exactly as in the full
-    run, because states are captured before the injection point of
-    their step). *)
+    per-step def/use record pruning consults).  {!execute_paused}
+    stops at chosen dynamic steps and hands the callback the CPU state
+    there; a {!clone} of the host taken inside the callback, continued
+    with {!resume_at}, re-executes only the suffix of the run,
+    bit-identical to a full re-execution from the pre-run state (a
+    fault scheduled at or after the pause step still fires exactly as
+    in the full run, because states are captured before the injection
+    point of their step).  Forking is cheap: {!clone} is O(1) in
+    mapped pages, and each side then copies only the 512-byte memory
+    blocks it writes (see {!Xentry_machine.Memory.copy}). *)
 
 type snapshot
-(** A COW copy of the whole host mid-execution plus the CPU state at
-    that step.  Cheap to hold (memory pages are shared copy-on-write)
-    and reusable: every {!restore} yields a fresh independent host. *)
-
-val snapshot_step : snapshot -> int
-(** The dynamic step the snapshot was taken at. *)
+(** A COW copy of the whole host paused mid-execution plus the CPU
+    state at that step.  Cheap to hold (memory blocks are shared
+    copy-on-write). *)
 
 val execute_plain :
   t ->
@@ -127,21 +127,19 @@ val execute_plain :
   Request.t ->
   Xentry_machine.Cpu.run_result * snapshot list
 (** {!execute} plus snapshots at the given (sorted ascending) dynamic
-    steps; steps the run never reaches yield no snapshot.  Without
-    [snapshot_at] this is exactly {!execute} on the fast path — no
-    recording overhead. *)
+    steps, each capture timed by the [hv.snapshot.capture] span; steps
+    the run never reaches yield no snapshot.  Without [snapshot_at]
+    this is exactly {!execute} on the fast path — no recording
+    overhead. *)
 
 val execute_recorded :
   t ->
   ?fuel:int ->
-  ?snapshot_at:int array ->
   Request.t ->
-  Xentry_machine.Cpu.run_result
-  * Xentry_machine.Golden_trace.t
-  * snapshot list
-(** {!execute_plain} plus golden-trace recording (which forces the
-    engines' instrumented loop — use it once per (host state, request)
-    and persist the trace). *)
+  Xentry_machine.Cpu.run_result * Xentry_machine.Golden_trace.t
+(** {!execute} plus golden-trace recording (which forces the engines'
+    instrumented loop — use it once per (host state, request) and
+    persist the trace). *)
 
 val execute_paused :
   t ->
@@ -152,15 +150,10 @@ val execute_paused :
   Xentry_machine.Cpu.run_result
 (** {!execute} with a callback at the given (sorted ascending) dynamic
     steps, each invoked before the step's instruction with the CPU
-    {!Xentry_machine.Cpu.run_state} at that point.  [clone] of the
-    host inside the callback plus {!resume_at} with the callback's
-    state is state-identical to capturing a snapshot at the pause and
-    {!restore}+{!resume}-ing it, minus the intermediate capture
-    clone. *)
-
-val restore : snapshot -> t
-(** An independent host positioned at the snapshot point (COW clone;
-    the live host and other restores are unaffected). *)
+    {!Xentry_machine.Cpu.run_state} at that point.  Steps the run
+    never reaches are skipped.  [fuel] works as in {!execute}, so a
+    caller that needs only the pauses can stop the run right after
+    the last one by passing that step as the fuel. *)
 
 val resume_at :
   t ->
@@ -169,22 +162,11 @@ val resume_at :
   Xentry_machine.Cpu.run_state ->
   Request.t ->
   Xentry_machine.Cpu.run_result
-(** {!resume} with the mid-run CPU state passed explicitly instead of
-    via a {!snapshot} — the pair for {!execute_paused}'s callback
-    states. *)
-
-val resume :
-  t ->
-  snapshot ->
-  ?inject:Xentry_machine.Cpu.injection ->
-  ?fuel:int ->
-  Request.t ->
-  Xentry_machine.Cpu.run_result
-(** [resume h snap req] continues the run on [h] (a {!restore} of
-    [snap], possibly with assertions re-toggled) from the snapshot's
-    step.  [fuel] keeps its absolute meaning, counting the skipped
-    prefix.  [inject] with a step at or after the snapshot step fires
-    exactly as in a full run. *)
+(** [resume_at h st req] continues the run on [h] — a {!clone} taken
+    inside {!execute_paused}'s callback, possibly with assertions
+    re-toggled — from the paused state [st].  [fuel] keeps its
+    absolute meaning, counting the skipped prefix.  [inject] with a
+    step at or after the pause step fires exactly as in a full run. *)
 
 val guest_output_regions : t -> (string * int64 * int) list
 (** Every region whose post-execution contents are guest-visible or

@@ -12,7 +12,7 @@ open Xentry_faultinject
 let config ~prune =
   Campaign.Config.make ~jobs:2 ~benchmark:Xentry_workload.Profile.Postmark
     ~injections:30 ~seed:814 ~fuel:2000 ~faults_per_run:16 ~prune
-    ~snapshot_interval:32 ()
+    ()
 
 let diff_records ~label expected actual =
   let ne = List.length expected and na = List.length actual in

@@ -4,7 +4,8 @@
    harness exercises the real failure mode: a campaign process dying
    mid-run.  The parent re-executes itself as a child whose checkpoint
    commit hook hard-kills the process (Unix._exit, no atexit, no
-   flushing) right after the first shard reaches the journal, asserts
+   flushing) right after the first shard reaches the journal (holding
+   back any other domain's commit meanwhile), asserts
    the child died with that exit code, then resumes the campaign from
    the surviving journal and requires the merged records to be
    bit-identical to an uninterrupted run — for jobs = 1 and jobs = 4. *)
@@ -46,8 +47,18 @@ let run_child dir jobs =
       Campaign.lookup = cp.Campaign.lookup;
       commit =
         (fun index records ->
-          cp.Campaign.commit index records;
-          if Atomic.fetch_and_add committed 1 = 0 then Unix._exit kill_code);
+          if Atomic.fetch_and_add committed 1 = 0 then begin
+            cp.Campaign.commit index records;
+            Unix._exit kill_code
+          end
+          else
+            (* The process is dying: a shard that finishes meanwhile on
+               another domain never reaches the journal, as if the kill
+               beat its commit.  Without this, shards finishing
+               together could all commit before [_exit] lands. *)
+            while true do
+              Unix.sleepf 1.0
+            done);
     }
   in
   ignore

@@ -425,7 +425,7 @@ let test_detector_improves_campaign_coverage () =
 
 let planner_config ~prune ~jobs ~seed ~injections ~faults_per_run () =
   Campaign.Config.make ~jobs ~benchmark:Xentry_workload.Profile.Postmark
-    ~injections ~seed ~fuel:2000 ~faults_per_run ~prune ~snapshot_interval:32 ()
+    ~injections ~seed ~fuel:2000 ~faults_per_run ~prune ()
 
 let with_trace_dir f =
   let dir =
@@ -441,9 +441,9 @@ let with_trace_dir f =
 
 (* The non-negotiable planner invariant: pruned + fast-forwarded
    campaigns produce records structurally identical to exhaustive
-   ones, for any worker count, on every planner path — no cache
-   (periodic snapshots), cold cache (recording) and warm cache
-   (survivors forked off the paused golden run). *)
+   ones, for any worker count, on every planner path — no cache and
+   cold cache (golden run recorded, then replayed to fork survivors)
+   and warm cache (survivors forked off the paused golden run). *)
 let test_planned_verdicts_identical_any_jobs () =
   List.iter
     (fun jobs ->
@@ -497,7 +497,7 @@ let test_fault_step_beyond_run_prunes () =
   in
   Hypervisor.prepare host req;
   let base = Hypervisor.clone host in
-  let golden_result, trace, _snaps =
+  let golden_result, trace =
     Hypervisor.execute_recorded host ~fuel:2000 req
   in
   let step = trace.Golden_trace.result_steps + 5 in
@@ -536,8 +536,7 @@ let test_planned_identical_per_class () =
       let cfg ~prune ~jobs =
         Campaign.Config.make ~jobs
           ~benchmark:Xentry_workload.Profile.Postmark ~injections:4 ~seed:31
-          ~fuel:2000 ~faults_per_run:12 ~prune ~snapshot_interval:32
-          ~fault_classes:[ c ] ()
+          ~fuel:2000 ~faults_per_run:12 ~prune ~fault_classes:[ c ] ()
       in
       let exhaustive = Campaign.execute (cfg ~prune:false ~jobs:1) in
       List.iter
@@ -549,6 +548,181 @@ let test_planned_identical_per_class () =
             true (planned = exhaustive))
         [ 1; 4 ])
     Fault.all_classes
+
+(* --- Fork-at-activation: the fork plan's edge cases ---------------------- *)
+
+(* What a campaign's fork plan had to handle, recomputed from the same
+   shard decomposition, RNG streams and golden traces the planner
+   sees.  Guards the differential test below against a config that
+   silently stops exercising a case. *)
+type fork_census = {
+  mutable shared_pause : int;  (** pauses serving two or more representatives *)
+  mutable at_step0 : int;  (** representatives forked at step 0 *)
+  mutable all_pruned : int;  (** golden runs that fork nothing *)
+}
+
+let fork_census (config : Campaign.Config.t) =
+  let c = { shared_pause = 0; at_step0 = 0; all_pruned = 0 } in
+  List.iter
+    (fun (_, (shard : Campaign.Config.t)) ->
+      let rng = Xentry_util.Rng.create shard.Campaign.seed in
+      let request_rng = Xentry_util.Rng.split rng in
+      let fault_rng = Xentry_util.Rng.split rng in
+      let host =
+        Hypervisor.create ~seed:(shard.Campaign.seed lxor 0x5EED)
+          ~hardened:shard.Campaign.hardened ()
+      in
+      Hypervisor.set_assertions_enabled host true;
+      let profile = Xentry_workload.Profile.get shard.Campaign.benchmark in
+      for _ = 1 to shard.Campaign.injections do
+        let req =
+          Xentry_workload.Profile.sample_request profile shard.Campaign.mode
+            request_rng
+        in
+        Hypervisor.prepare host req;
+        let golden, trace =
+          Hypervisor.execute_recorded host ~fuel:shard.Campaign.fuel req
+        in
+        let max_step = max 1 golden.Cpu.steps in
+        let faults =
+          Array.init shard.Campaign.faults_per_run (fun _ ->
+              Fault.sample ~classes:shard.Campaign.fault_classes fault_rng
+                ~max_step)
+        in
+        let plan = Planner.plan trace faults in
+        let last = max 0 (golden.Cpu.steps - 1) in
+        if plan.Planner.reps = [] then c.all_pruned <- c.all_pruned + 1;
+        let pauses = Hashtbl.create 8 in
+        List.iter
+          (fun rep ->
+            match plan.Planner.dispositions.(rep) with
+            | Planner.Run { act; _ } ->
+                let s = min act last in
+                if s = 0 then c.at_step0 <- c.at_step0 + 1;
+                Hashtbl.replace pauses s
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt pauses s))
+            | Planner.Pruned _ -> ())
+          plan.Planner.reps;
+        Hashtbl.iter
+          (fun _ n -> if n >= 2 then c.shared_pause <- c.shared_pause + 1)
+          pauses;
+        Hypervisor.retire host req
+      done)
+    (Campaign.shard_plan config);
+  c
+
+(* Planned ≡ exhaustive over every fault class, cold (golden run
+   replayed to fork survivors) and through a trace cache (cold, then
+   warm: survivors forked off the live golden run), with coverage of
+   the fork plan's edge cases: several representatives forked at one
+   pause, a fork at step 0, a natural run forked a second time after
+   an assertion stopped the detected one, and golden runs that fork
+   nothing. *)
+let test_fork_at_activation_edge_cases () =
+  let total = { shared_pause = 0; at_step0 = 0; all_pruned = 0 } in
+  let assertion_stops = ref 0 in
+  Array.iter
+    (fun cls ->
+      let cfg prune =
+        Campaign.Config.make ~jobs:1
+          ~benchmark:Xentry_workload.Profile.Postmark ~injections:24 ~seed:41
+          ~fuel:2000 ~faults_per_run:24 ~prune ~fault_classes:[ cls ] ()
+      in
+      let name = Fault.cls_name cls in
+      let exhaustive = Campaign.execute (cfg false) in
+      let check label records =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s identical to exhaustive" name label)
+          true (records = exhaustive)
+      in
+      check "cold" (Campaign.execute (cfg true));
+      with_trace_dir (fun dir ->
+          let traces () =
+            match Xentry_store.Trace_cache.for_campaign ~dir (cfg true) with
+            | Ok tc -> tc
+            | Error e ->
+                failwith (Xentry_store.Trace_cache.open_error_message e)
+          in
+          check "cold-cache" (Campaign.execute ~traces:(traces ()) (cfg true));
+          let warm, stats =
+            Campaign.execute_with_stats ~traces:(traces ()) (cfg true)
+          in
+          check "warm-cache" warm;
+          Alcotest.(check bool)
+            (name ^ " warm run served from the cache")
+            true
+            (stats.Campaign.trace_hits > 0));
+      let c = fork_census (cfg true) in
+      total.shared_pause <- total.shared_pause + c.shared_pause;
+      total.at_step0 <- total.at_step0 + c.at_step0;
+      total.all_pruned <- total.all_pruned + c.all_pruned;
+      List.iter
+        (fun r ->
+          match r.Outcome.verdict with
+          | Framework.Detected { technique = Framework.Sw_assertion; _ } ->
+              incr assertion_stops
+          | _ -> ())
+        exhaustive)
+    Fault.all_classes;
+  Alcotest.(check bool) "several representatives forked at one pause" true
+    (total.shared_pause > 0);
+  Alcotest.(check bool) "a fork at step 0" true (total.at_step0 > 0);
+  Alcotest.(check bool) "golden runs that fork nothing" true
+    (total.all_pruned > 0);
+  Alcotest.(check bool) "assertion stops fork a natural run" true
+    (!assertion_stops > 0)
+
+(* The fork plan clamps a pause to the golden run's last executed step
+   when a representative activates past it (a fetch beyond the end of
+   the run).  Campaign golden runs all end at VM entry, where no
+   sampled fault activates that late, so the clamp is checked here
+   directly: forking at the last step, with the replay stopped right
+   after it, and injecting at or past that step is identical to the
+   full injected run from the pre-run state — for a fault of every
+   class. *)
+let test_fork_clamped_past_last_step () =
+  let host = Hypervisor.create ~seed:43 () in
+  Hypervisor.set_assertions_enabled host true;
+  let profile = Xentry_workload.Profile.get Xentry_workload.Profile.Postmark in
+  let request_rng = Xentry_util.Rng.create 43 in
+  let fault_rng = Xentry_util.Rng.create 44 in
+  for _ = 1 to 12 do
+    let req =
+      Xentry_workload.Profile.sample_request profile Xentry_workload.Profile.PV
+        request_rng
+    in
+    Hypervisor.prepare host req;
+    let base = Hypervisor.clone host in
+    let golden = Hypervisor.execute host ~fuel:2000 req in
+    let last = max 0 (golden.Cpu.steps - 1) in
+    Array.iter
+      (fun cls ->
+        let f = Fault.sample ~classes:[ cls ] fault_rng ~max_step:1 in
+        List.iter
+          (fun step ->
+            let inject = Fault.to_injection { f with Fault.step } in
+            let full_host = Hypervisor.clone base in
+            let full = Hypervisor.execute full_host ~inject ~fuel:2000 req in
+            let src = Hypervisor.clone base in
+            let forked = ref None in
+            ignore
+              (Hypervisor.execute_paused src ~fuel:last ~pause_at:[| last |]
+                 ~on_pause:(fun st ->
+                   let h = Hypervisor.clone src in
+                   forked :=
+                     Some (h, Hypervisor.resume_at h ~inject ~fuel:2000 st req))
+                 req);
+            let label = Printf.sprintf "%s at step %d" (Fault.cls_name cls) step in
+            match !forked with
+            | None -> Alcotest.fail (label ^ ": pause at the last step never fired")
+            | Some (h, r) ->
+                Alcotest.(check bool) (label ^ ": same run result") true (r = full);
+                Alcotest.(check int) (label ^ ": same final state") 0
+                  (List.length (Classify.diffs ~golden:full_host ~faulted:h)))
+          [ last; golden.Cpu.steps; golden.Cpu.steps + 3 ])
+      Fault.all_classes;
+    Hypervisor.retire host req
+  done
 
 (* The widened sampler's default class list must consume the exact
    historical RNG stream — step, bit, target, no class draw (the old
@@ -693,6 +867,10 @@ let () =
             test_planned_identical_per_class;
           Alcotest.test_case "planned verdict-identical (jobs 1 and 4)" `Slow
             test_planned_verdicts_identical_any_jobs;
+          Alcotest.test_case "fork-at-activation edge cases" `Slow
+            test_fork_at_activation_edge_cases;
+          Alcotest.test_case "fork clamped past the last step" `Quick
+            test_fork_clamped_past_last_step;
           Alcotest.test_case "fault step beyond run prunes" `Quick
             test_fault_step_beyond_run_prunes;
         ] );

@@ -982,6 +982,271 @@ let prop_tlb_cow_with_reads =
       let image m = Memory.blit_out m ~addr:0x1000L ~len:region in
       image cow_parent = image ref_parent && image cow_copy = image ref_copy)
 
+(* --- qcheck: block copy-on-write against a flat model --------------------- *)
+
+(* Random sequences of map, unmap, stores, loads, copies, word flips and
+   TLB strikes over a family of memories forked from one another,
+   checked against a reference model that copies a whole 4 KiB frame
+   on the first write after a fork and has no blocks and no TLB: each
+   memory is a table from page index to a frame, owned (written in
+   place) or shared with a fork.  A TLB strike binds the struck page
+   to its alias's frame, so writes through either page stay visible
+   through the other only while that frame is owned — exactly the
+   page-grain COW the block version must be indistinguishable from.
+   Addresses cluster around 512-byte block and 4 KiB page boundaries
+   so straddling words take the byte path. *)
+
+let cow_pages = 8
+let cow_base = 0x10000 (* page 0x10: strikes on bits 0-2 stay in the window *)
+let cow_bytes = cow_pages * 4096
+let cow_max_mems = 6
+
+type cow_op =
+  | Map of int * int * int (* memory, first page, pages *)
+  | Unmap of int * int * int
+  | Store8 of int * int * int (* memory, window offset, byte *)
+  | Store64 of int * int * int64
+  | Load64 of int * int
+  | Copy of int
+  | Flip of int * int * int64 (* memory, window offset, mask *)
+  | Strike of int * int * int (* memory, page, bit *)
+  | First_diff of int * int * int * int (* memory a, memory b, offset, len *)
+
+let show_cow_op = function
+  | Map (m, p, n) -> Printf.sprintf "map m%d p%d+%d" m p n
+  | Unmap (m, p, n) -> Printf.sprintf "unmap m%d p%d+%d" m p n
+  | Store8 (m, o, v) -> Printf.sprintf "store8 m%d %#x %d" m o v
+  | Store64 (m, o, v) -> Printf.sprintf "store64 m%d %#x %Ld" m o v
+  | Load64 (m, o) -> Printf.sprintf "load64 m%d %#x" m o
+  | Copy m -> Printf.sprintf "copy m%d" m
+  | Flip (m, o, k) -> Printf.sprintf "flip m%d %#x %Lx" m o k
+  | Strike (m, p, b) -> Printf.sprintf "strike m%d p%d bit%d" m p b
+  | First_diff (a, b, o, l) -> Printf.sprintf "first_diff m%d m%d %#x+%d" a b o l
+
+let cow_op_gen =
+  let open QCheck.Gen in
+  let mem = int_bound (cow_max_mems - 1) in
+  let off =
+    oneof
+      [
+        (* within 8 bytes of a block (and so sometimes a page) boundary *)
+        map3
+          (fun p b d -> max 0 (min (cow_bytes - 1) ((p * 4096) + (b * 512) + d)))
+          (int_bound (cow_pages - 1))
+          (int_bound 7) (int_range (-8) 8);
+        int_bound (cow_bytes - 1);
+      ]
+  in
+  let page = int_bound (cow_pages - 1) in
+  frequency
+    [
+      (1, map3 (fun m p n -> Map (m, p, n)) mem page (int_range 1 3));
+      (1, map3 (fun m p n -> Unmap (m, p, n)) mem page (int_range 1 2));
+      (4, map3 (fun m o v -> Store8 (m, o, v)) mem off (int_bound 255));
+      (6, map3 (fun m o v -> Store64 (m, o, v)) mem off ui64);
+      (3, map2 (fun m o -> Load64 (m, o)) mem off);
+      (2, map (fun m -> Copy m) mem);
+      (2, map3 (fun m o k -> Flip (m, o, k)) mem off ui64);
+      (1, map3 (fun m p b -> Strike (m, p, b)) mem page (int_bound 2));
+      ( 2,
+        map3
+          (fun (a, b) o l -> First_diff (a, b, o, l))
+          (pair mem mem) off (int_bound (2 * 4096)) );
+    ]
+
+exception Model_fault
+
+type frame = { data : Bytes.t; mutable owned : bool }
+
+let fresh_frame data = { data; owned = true }
+
+let model_frame m off =
+  match Hashtbl.find_opt m (off lsr 12) with
+  | Some f -> f
+  | None -> raise Model_fault
+
+let model_load8 m off = Char.code (Bytes.get (model_frame m off).data (off land 4095))
+
+let model_store8 m off v =
+  let f = model_frame m off in
+  let f =
+    if f.owned then f
+    else begin
+      let f' = fresh_frame (Bytes.copy f.data) in
+      Hashtbl.replace m (off lsr 12) f';
+      f'
+    end
+  in
+  Bytes.set f.data (off land 4095) (Char.chr (v land 0xFF))
+
+let model_load64 m off =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (model_load8 m (off + i)))
+  done;
+  !v
+
+(* Byte order and fault point match the real byte path: earlier bytes
+   land before an unmapped one faults. *)
+let model_store64 m off v =
+  for i = 0 to 7 do
+    model_store8 m (off + i)
+      (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+  done
+
+(* A fork shares every frame, owned by neither side. *)
+let model_copy m =
+  Hashtbl.iter (fun _ f -> f.owned <- false) m;
+  Hashtbl.copy m
+
+let model_first_diff a b ~off ~len =
+  let rec go pos =
+    if pos >= len then None
+    else
+      let at = off + pos in
+      match (Hashtbl.find_opt a (at lsr 12), Hashtbl.find_opt b (at lsr 12)) with
+      | None, None -> go (pos + 1)
+      | Some fa, Some fb
+        when Bytes.get fa.data (at land 4095) = Bytes.get fb.data (at land 4095) ->
+          go (pos + 1)
+      | _ -> Some (Int64.of_int (cow_base + at))
+  in
+  go 0
+
+let prop_block_cow_matches_model =
+  let privatised = Xentry_util.Telemetry.counter "memory.cow.privatise" in
+  QCheck.Test.make ~name:"block COW matches a flat eager-copy model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) cow_op_gen))
+    (fun ops ->
+      let was_enabled = Xentry_util.Telemetry.enabled () in
+      Xentry_util.Telemetry.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          if not was_enabled then Xentry_util.Telemetry.disable ())
+        (fun () ->
+          let first = Memory.create () in
+          Memory.map_region first ~addr:(Int64.of_int cow_base) ~size:(4 * 4096);
+          let model = Hashtbl.create 8 in
+          for p = 0 to 3 do
+            Hashtbl.replace model p (fresh_frame (Bytes.make 4096 '\000'))
+          done;
+          (* (memory, model, pristine): pristine = nothing mutated it
+             since the copy that made it (or that it was copied by),
+             so every page it maps is frozen *)
+          let mems = ref [| (first, model, ref false) |] in
+          let pick i = !mems.(i mod Array.length !mems) in
+          let addr off = Int64.of_int (cow_base + off) in
+          let attempt real model_op =
+            let r = match real () with v -> Some v | exception Memory.Fault _ -> None in
+            let m = match model_op () with v -> Some v | exception Model_fault -> None in
+            r = m
+          in
+          let store model pristine off ~real ~model_op ~one_block =
+            let before = Xentry_util.Telemetry.counter_value privatised in
+            let ok = attempt real model_op in
+            let mapped = Hashtbl.mem model (off lsr 12) in
+            let ok =
+              if !pristine && one_block && mapped then begin
+                (* the first write to a fork copies exactly one block;
+                   writing the same block again copies nothing *)
+                let once = Xentry_util.Telemetry.counter_value privatised - before in
+                ignore (attempt real model_op);
+                let twice =
+                  Xentry_util.Telemetry.counter_value privatised - before
+                in
+                ok && once = 1 && twice = 1
+              end
+              else ok
+            in
+            pristine := false;
+            ok
+          in
+          let step op =
+            match op with
+            | Map (i, p, n) ->
+                let mem, model, pristine = pick i in
+                let n = min n (cow_pages - p) in
+                Memory.map_region mem ~addr:(addr (p * 4096)) ~size:(n * 4096);
+                for q = p to p + n - 1 do
+                  if not (Hashtbl.mem model q) then
+                    Hashtbl.replace model q (fresh_frame (Bytes.make 4096 '\000'))
+                done;
+                pristine := false;
+                true
+            | Unmap (i, p, n) ->
+                let mem, model, pristine = pick i in
+                let n = min n (cow_pages - p) in
+                Memory.unmap_region mem ~addr:(addr (p * 4096)) ~size:(n * 4096);
+                for q = p to p + n - 1 do
+                  Hashtbl.remove model q
+                done;
+                pristine := false;
+                true
+            | Store8 (i, off, v) ->
+                let mem, model, pristine = pick i in
+                store model pristine off ~one_block:true
+                  ~real:(fun () -> Memory.store8 mem (addr off) v)
+                  ~model_op:(fun () -> model_store8 model off v)
+            | Store64 (i, off, v) ->
+                let mem, model, pristine = pick i in
+                store model pristine off
+                  ~one_block:(off land 511 <= 504)
+                  ~real:(fun () -> Memory.store64 mem (addr off) v)
+                  ~model_op:(fun () -> model_store64 model off v)
+            | Load64 (i, off) ->
+                let mem, model, _ = pick i in
+                attempt
+                  (fun () -> Memory.load64 mem (addr off))
+                  (fun () -> model_load64 model off)
+            | Copy i ->
+                let mem, model, pristine = pick i in
+                let c = Memory.copy mem in
+                let cm = model_copy model in
+                pristine := true;
+                if Array.length !mems < cow_max_mems then
+                  mems := Array.append !mems [| (c, cm, ref true) |];
+                true
+            | Flip (i, off, k) ->
+                let mem, model, pristine = pick i in
+                let expect =
+                  Hashtbl.mem model (off lsr 12) && Hashtbl.mem model ((off + 7) lsr 12)
+                in
+                let got = Memory.flip_word mem (addr off) ~mask:k in
+                if expect then model_store64 model off (Int64.logxor (model_load64 model off) k);
+                pristine := false;
+                got = expect
+            | Strike (i, p, bit) ->
+                let mem, model, pristine = pick i in
+                let expect = Hashtbl.mem model p in
+                let got =
+                  Memory.strike_tlb mem ~page:(Int64.of_int ((cow_base lsr 12) + p)) ~bit
+                in
+                (if expect then
+                   let alias = p lxor (1 lsl bit) in
+                   match Hashtbl.find_opt model alias with
+                   | Some f -> Hashtbl.replace model p f
+                   | None -> Hashtbl.remove model p);
+                pristine := false;
+                got = expect
+            | First_diff (a, b, off, len) ->
+                let ma, mda, _ = pick a and mb, mdb, _ = pick b in
+                Memory.first_difference ma mb ~addr:(addr off) ~len
+                = model_first_diff mda mdb ~off ~len
+          in
+          let image_matches (mem, model, _) =
+            List.for_all
+              (fun p ->
+                match Hashtbl.find_opt model p with
+                | None -> not (Memory.is_mapped mem (addr (p * 4096)))
+                | Some f ->
+                    Memory.blit_out mem ~addr:(addr (p * 4096)) ~len:4096 = f.data)
+              (List.init cow_pages Fun.id)
+          in
+          List.for_all step ops && Array.for_all image_matches !mems))
+
 (* --- qcheck: compiled engine vs reference engine ------------------------------ *)
 
 (* Random programs over the full ISA, with a label on every slot so
@@ -1272,6 +1537,7 @@ let () =
         prop_engines_agree;
         prop_recorder_matches_naive;
         prop_trace_fate_matches_live_watch;
+        prop_block_cow_matches_model;
       ]
   in
   Alcotest.run "xentry_machine"
