@@ -1621,6 +1621,19 @@ let micro () =
   let faulted = Hypervisor.clone host in
   ignore (Hypervisor.execute faulted req);
   let fault = Fault.reg Xentry_isa.Reg.Rip ~bit:4 ~step:20 in
+  (* One real shard frame, as a cluster worker sends it: the first
+     shard (100 golden runs x 64 faults) of a postmark reg1 campaign. *)
+  let shard_frame =
+    let cfg =
+      Campaign.Config.make ~detector:det ~fault_classes:[ Fault.Reg_single_bit ]
+        ~fuel:2000 ~faults_per_run:64 ~jobs:1 ~benchmark:Profile.Postmark
+        ~injections:100 ~seed:1 ()
+    in
+    let shard, shard_cfg = List.hd (Campaign.shard_plan cfg) in
+    let records, _ = Campaign.run_shard shard_cfg in
+    Xentry_cluster.Protocol.Shard_result { shard; records }
+  in
+  let frame = Xentry_cluster.Protocol.encode shard_frame in
   let tests =
     [
       Test.make ~name:"fig3:activation-rate-sample"
@@ -1665,6 +1678,23 @@ let micro () =
       Test.make ~name:"core:evtchn-send"
         (Staged.stage (fun () ->
              Event_channel.send (Hypervisor.memory host) ~dom:1 ~port:7));
+      Test.make ~name:"cluster:frame-encode"
+        (Staged.stage (fun () ->
+             ignore (Xentry_cluster.Protocol.encode shard_frame)));
+      (* Fed in 64 KiB pieces, the size of a connection's socket read. *)
+      Test.make ~name:"cluster:frame-decode"
+        (Staged.stage (fun () ->
+             let d = Xentry_cluster.Protocol.decoder () in
+             let len = String.length frame in
+             let rec feed pos =
+               if pos < len then begin
+                 let n = min 65536 (len - pos) in
+                 Xentry_cluster.Protocol.feed d (String.sub frame pos n);
+                 feed (pos + n)
+               end
+             in
+             feed 0;
+             ignore (Xentry_cluster.Protocol.next d)));
     ]
   in
   let ols =

@@ -286,69 +286,110 @@ let error_message = function
 
 exception Protocol_error of error
 
+(* The payload is written once; header, payload and CRC then land in
+   one exactly-sized [Bytes], so a frame is copied once after
+   encoding.  The CRC reads the bytes through a temporary string view
+   that does not outlive the call. *)
 let encode msg =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf magic;
   let payload = Buffer.create 256 in
   write_msg payload msg;
   let plen = Buffer.length payload in
   if plen > max_frame then
     invalid_arg (Printf.sprintf "Protocol.encode: %d-byte payload" plen);
-  W.u32 buf plen;
-  Buffer.add_buffer buf payload;
-  let body = Buffer.contents buf in
-  let crc = Crc32.digest body in
-  let out = Buffer.create (String.length body + 4) in
-  Buffer.add_string out body;
-  Buffer.add_int32_le out crc;
-  Buffer.contents out
+  let body = header_len + plen in
+  let frame = Bytes.create (body + 4) in
+  Bytes.blit_string magic 0 frame 0 (String.length magic);
+  Bytes.set_int32_le frame 4 (Int32.of_int plen);
+  Buffer.blit payload 0 frame header_len plen;
+  Bytes.set_int32_le frame body
+    (Crc32.digest_sub (Bytes.unsafe_to_string frame) ~pos:0 ~len:body);
+  Bytes.unsafe_to_string frame
 
 (* {2 Incremental decoder}
 
-   [pending] accumulates unconsumed bytes; a frame is only examined
-   once its length (and trailing CRC) fully arrived, so feeding a
-   frame one byte at a time yields the identical message.  The first
-   malformed byte poisons the decoder: framing is unrecoverable after
-   an error, so every later [next]/[finish] repeats it. *)
+   Unconsumed bytes live in [buf] between [start] and [stop]; a frame
+   is only examined once its length (and trailing CRC) fully arrived,
+   so feeding a frame one byte at a time yields the identical message.
+   Consuming a frame only advances [start], and an append slides the
+   unconsumed tail to the front (or grows [buf]) only when it would
+   not fit, so a frame arriving in many chunks is copied a bounded
+   number of times rather than once per chunk.  The first malformed
+   byte poisons the decoder: framing is unrecoverable after an error,
+   so every later [next]/[finish] repeats it. *)
 
-type decoder = { mutable pending : string; mutable failed : error option }
+type decoder = {
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable failed : error option;
+}
 
-let decoder () = { pending = ""; failed = None }
+let decoder () =
+  { buf = Bytes.create 65536; start = 0; stop = 0; failed = None }
 
-let feed d s =
-  if d.failed = None && String.length s > 0 then d.pending <- d.pending ^ s
+let append d src off len =
+  if d.failed = None && len > 0 then begin
+    let live = d.stop - d.start in
+    if d.stop + len > Bytes.length d.buf then begin
+      let dst =
+        if live + len <= Bytes.length d.buf then d.buf
+        else Bytes.create (max (live + len) (2 * Bytes.length d.buf))
+      in
+      Bytes.blit d.buf d.start dst 0 live;
+      d.buf <- dst;
+      d.start <- 0;
+      d.stop <- live
+    end;
+    Bytes.blit src off d.buf d.stop len;
+    d.stop <- d.stop + len
+  end
+
+let feed d s = append d (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let fail d e =
   d.failed <- Some e;
-  d.pending <- "";
+  d.buf <- Bytes.empty;
+  d.start <- 0;
+  d.stop <- 0;
   Error e
 
-let prefix_matches_magic s =
-  let n = min (String.length s) (String.length magic) in
-  let rec go i = i >= n || (s.[i] = magic.[i] && go (i + 1)) in
+let prefix_matches_magic d =
+  let n = min (d.stop - d.start) (String.length magic) in
+  let rec go i =
+    i >= n || (Bytes.get d.buf (d.start + i) = magic.[i] && go (i + 1))
+  in
   go 0
 
 let next d =
   match d.failed with
   | Some e -> Error e
   | None ->
-      let s = d.pending in
-      let n = String.length s in
-      if not (prefix_matches_magic s) then fail d Bad_magic
+      let n = d.stop - d.start in
+      if not (prefix_matches_magic d) then fail d Bad_magic
       else if n < header_len then Ok None
       else
-        let plen = Int32.to_int (String.get_int32_le s 4) land 0xFFFFFFFF in
+        let plen =
+          Int32.to_int (Bytes.get_int32_le d.buf (d.start + 4)) land 0xFFFFFFFF
+        in
         (* Judge the announced length from the header alone — never
            buffer towards a frame we would refuse anyway. *)
         if plen > max_frame then fail d (Oversized plen)
         else if n < header_len + plen + 4 then Ok None
         else
-          let stored = String.get_int32_le s (header_len + plen) in
-          let computed = Crc32.digest_sub s ~pos:0 ~len:(header_len + plen) in
+          let body = header_len + plen in
+          let stored = Bytes.get_int32_le d.buf (d.start + body) in
+          let computed =
+            Crc32.digest_sub (Bytes.unsafe_to_string d.buf) ~pos:d.start
+              ~len:body
+          in
           if stored <> computed then fail d (Crc_mismatch { stored; computed })
           else
+            (* The payload is read in place: the view lives only for
+               [read_msg], which copies out every string it returns,
+               and nothing writes [buf] meanwhile. *)
             let r =
-              W.reader ~pos:header_len (String.sub s 0 (header_len + plen))
+              W.reader ~pos:(d.start + header_len) ~len:plen
+                (Bytes.unsafe_to_string d.buf)
             in
             match
               let m = read_msg r in
@@ -357,14 +398,17 @@ let next d =
             with
             | exception W.Corrupt msg -> fail d (Malformed msg)
             | m ->
-                let consumed = header_len + plen + 4 in
-                d.pending <- String.sub s consumed (n - consumed);
+                d.start <- d.start + body + 4;
+                if d.start = d.stop then begin
+                  d.start <- 0;
+                  d.stop <- 0
+                end;
                 Ok (Some m)
 
 let finish d =
   match d.failed with
   | Some e -> Error e
-  | None -> if String.length d.pending = 0 then Ok () else Error Truncated
+  | None -> if d.stop = d.start then Ok () else Error Truncated
 
 (* {2 Connections} *)
 
@@ -467,7 +511,7 @@ let read_chunk c =
   if n = 0 then c.eof <- true
   else begin
     Tm.add tm_bytes_received n;
-    feed c.dec (Bytes.sub_string c.scratch 0 n)
+    append c.dec c.scratch 0 n
   end;
   n
 

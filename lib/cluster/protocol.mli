@@ -25,7 +25,11 @@
     returns a complete message, "need more bytes", or a typed
     {!error} — corrupt input can never hang a peer or produce garbage
     records.  After an error the decoder is poisoned (the stream has no
-    recoverable framing); peers drop the connection. *)
+    recoverable framing); peers drop the connection.
+
+    Decoding is linear in the bytes fed: the decoder keeps only the
+    unconsumed tail in a growable buffer and copies a frame a bounded
+    number of times however many chunks it arrives in. *)
 
 (** {2 Addresses} *)
 
@@ -100,7 +104,8 @@ exception Protocol_error of error
     the pure decoder returns [error] instead. *)
 
 val encode : msg -> string
-(** One complete frame. *)
+(** One complete frame: the payload is written once, then copied with
+    header and CRC into the exactly-sized result. *)
 
 (** {2 Incremental decoder} *)
 

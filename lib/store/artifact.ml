@@ -95,7 +95,9 @@ let decode codec data =
               (Version_skew
                  { kind; expected = codec.Codec.version; found = sver })
           else
-            let pr = W.reader ~pos:payload_pos (String.sub data 0 (len - 4)) in
+            let pr =
+              W.reader ~pos:payload_pos ~len:(len - 4 - payload_pos) data
+            in
             match
               let v = codec.Codec.read pr in
               W.expect_end pr;

@@ -18,14 +18,14 @@ let guard f =
 
 (* --- enumerations ----------------------------------------------------- *)
 
+(* The byte is the register's index in [Reg.all_arch]: the GPRs in
+   [gpr_index] order, then RIP and RFLAGS. *)
 let write_arch buf (target : Xentry_isa.Reg.arch) =
-  let n = Array.length Xentry_isa.Reg.all_arch in
-  let rec find i =
-    if i >= n then invalid_arg "Codec.write_arch: unknown register"
-    else if Xentry_isa.Reg.all_arch.(i) = target then i
-    else find (i + 1)
-  in
-  W.u8 buf (find 0)
+  W.u8 buf
+    (match target with
+    | Xentry_isa.Reg.Gpr g -> Xentry_isa.Reg.gpr_index g
+    | Xentry_isa.Reg.Rip -> Xentry_isa.Reg.gpr_count
+    | Xentry_isa.Reg.Rflags -> Xentry_isa.Reg.gpr_count + 1)
 
 let read_arch r =
   let i = W.read_u8 r in

@@ -4,7 +4,12 @@
     every single-bit flip and every burst shorter than 32 bits — the
     corruption modes a torn write or a flipped disk/DRAM bit produces —
     which is exactly the failure envelope {!Artifact.load} must turn
-    into typed errors instead of undefined behaviour. *)
+    into typed errors instead of undefined behaviour.  The cluster
+    protocol checksums every frame with it too.
+
+    Computed slicing-by-8 over native [int]s (eight 256-entry tables,
+    one 8-byte block per step, a byte-wise tail), so no step boxes an
+    [int32]; only the result is. *)
 
 val digest : string -> int32
 (** CRC-32 of the whole string. *)

@@ -16,8 +16,8 @@ let u32 buf v =
   Buffer.add_int32_le buf (Int32.of_int v)
 
 let i64 = Buffer.add_int64_le
-let int_ buf v = i64 buf (Int64.of_int v)
-let f64 buf v = i64 buf (Int64.bits_of_float v)
+let int_ buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 let bool_ buf v = Buffer.add_uint8 buf (if v then 1 else 0)
 
 let str buf s =
@@ -38,14 +38,20 @@ let array_ write buf a =
   u32 buf (Array.length a);
   Array.iter (write buf) a
 
-type reader = { data : string; mutable pos : int }
+type reader = { data : string; mutable pos : int; stop : int }
 
 exception Corrupt of string
 
 let corrupt msg = raise (Corrupt msg)
-let reader ?(pos = 0) data = { data; pos }
+
+let reader ?(pos = 0) ?len data =
+  let stop = match len with None -> String.length data | Some n -> pos + n in
+  if pos < 0 || stop < pos || stop > String.length data then
+    invalid_arg "Wire.reader";
+  { data; pos; stop }
+
 let pos r = r.pos
-let remaining r = String.length r.data - r.pos
+let remaining r = r.stop - r.pos
 
 let need r n =
   if n < 0 || remaining r < n then
@@ -75,10 +81,15 @@ let read_i64 r =
   r.pos <- r.pos + 8;
   v
 
+(* Inlined rather than built on [read_i64], so the word never leaves
+   a register as a boxed [int64]. *)
 let read_int r =
-  let v = read_i64 r in
+  need r 8;
+  let v = String.get_int64_le r.data r.pos in
   let i = Int64.to_int v in
-  if Int64.of_int i <> v then corrupt "int out of native range";
+  if not (Int64.equal (Int64.of_int i) v) then
+    corrupt "int out of native range";
+  r.pos <- r.pos + 8;
   i
 
 let read_f64 r = Int64.float_of_bits (read_i64 r)

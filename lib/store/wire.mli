@@ -38,13 +38,17 @@ val array_ : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a array -> unit
 (** {2 Readers} *)
 
 type reader
-(** A cursor over an immutable byte string. *)
+(** A cursor over a range of an immutable byte string. *)
 
 exception Corrupt of string
 (** Raised by every reader on truncation, a bad tag byte, or an
     out-of-range value.  Never escapes {!Artifact.load}. *)
 
-val reader : ?pos:int -> string -> reader
+val reader : ?pos:int -> ?len:int -> string -> reader
+(** A cursor over [len] bytes (default: the rest of the string) from
+    [pos] (default 0).  Raises [Invalid_argument] when the range is
+    outside the string. *)
+
 val pos : reader -> int
 val remaining : reader -> int
 

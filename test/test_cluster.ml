@@ -126,6 +126,34 @@ let test_config_strips_jobs () =
       Alcotest.(check bool) "jobs = None" true (c.Campaign.jobs = None)
   | _ -> Alcotest.fail "bad decode"
 
+(* --- protocol: pinned byte format ------------------------------------------ *)
+
+(* MD5 of the frame of each Wire_fixtures message, in tag order: a
+   changed digest means a changed byte format. *)
+let pinned_frames =
+  [
+    ("Hello", "6b07d39f839feaa867b207b17d8dfb28");
+    ("Campaign_spec", "3deee06a271f31c12eeda3fac61ae50e");
+    ("Lease", "c9e637f3d822e3a9ec52e67279e80a38");
+    ("Shard_result", "2342cb86cce131fb4e5b7c9d5434fa96");
+    ("Serve_spec", "8c3f0ffc9c2a872cce8ece7fbbdf5d25");
+    ("Serve_request", "01996c9b7b93f2248351966d732fc9cc");
+    ("Serve_response", "0d91b1aec05777022a2bde2513fdb7aa");
+    ("Drain", "3adce9709ce000c11f75d4db2269ee36");
+    ("Telemetry_drain", "0e2c22160bdbf5e5c43f7262fba66a8a");
+    ("Bye", "de4675e06c8d345b2a4601f500692673");
+    ("Detector_push", "2f50ad541a3b6964f13648a034bf4680");
+    ("Detector_ack", "ee3353f9b081aa0d5d5b5d07c23c2ff3");
+  ]
+
+let test_frames_pinned () =
+  List.iter2
+    (fun m (name, md5) ->
+      let frame = Protocol.encode m in
+      Alcotest.(check string) name md5 (Digest.to_hex (Digest.string frame));
+      check_roundtrip m)
+    Wire_fixtures.msgs pinned_frames
+
 (* --- protocol: incremental decoding --------------------------------------- *)
 
 let chunk_split rng s =
@@ -175,6 +203,53 @@ let prop_chunked_decode =
            (fun a b -> String.equal (Protocol.encode a) (Protocol.encode b))
            msgs
            (List.rev !decoded))
+
+(* Three whole frames and half of a fourth in one chunk: the three
+   decode, the half waits, and the rest completes it.  The fourth
+   frame is larger than the decoder's initial buffer, so completing
+   it slides the unconsumed tail and grows the buffer. *)
+let test_decoder_remainder () =
+  let big =
+    List.concat (List.init 200 (fun _ -> Wire_fixtures.records))
+  in
+  let msgs =
+    [
+      Protocol.Hello { jobs = 2 };
+      Protocol.Shard_result { shard = 7; records = Wire_fixtures.records };
+      Protocol.Lease [ 4; 5 ];
+      Protocol.Shard_result { shard = 8; records = big };
+    ]
+  in
+  let frames = List.map Protocol.encode msgs in
+  let last = List.nth frames 3 in
+  Alcotest.(check bool) "fourth frame exceeds 64 KiB" true
+    (String.length last > 65536);
+  let half = String.length last / 2 in
+  let d = Protocol.decoder () in
+  Protocol.feed d
+    (String.concat "" (List.filteri (fun i _ -> i < 3) frames)
+    ^ String.sub last 0 half);
+  let expect_frame i =
+    match Protocol.next d with
+    | Ok (Some m) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "frame %d" i)
+          true
+          (String.equal (Protocol.encode m) (List.nth frames i))
+    | Ok None -> Alcotest.failf "frame %d: need more" i
+    | Error e -> Alcotest.failf "frame %d: %s" i (Protocol.error_message e)
+  in
+  let expect_none what =
+    match Protocol.next d with
+    | Ok None -> ()
+    | _ -> Alcotest.failf "%s: expected Ok None" what
+  in
+  List.iter expect_frame [ 0; 1; 2 ];
+  expect_none "half a frame";
+  Protocol.feed d (String.sub last half (String.length last - half));
+  expect_frame 3;
+  expect_none "drained";
+  Alcotest.(check bool) "finish" true (Protocol.finish d = Ok ())
 
 let test_truncation_sweep () =
   (* Every proper prefix of a frame: no message, no garbage — just
@@ -364,6 +439,9 @@ let () =
           Alcotest.test_case "round-trip each message" `Quick test_roundtrip_each;
           Alcotest.test_case "round-trip stream" `Quick test_roundtrip_stream;
           Alcotest.test_case "config strips jobs" `Quick test_config_strips_jobs;
+          Alcotest.test_case "frame bytes pinned" `Quick test_frames_pinned;
+          Alcotest.test_case "decoder keeps the remainder" `Quick
+            test_decoder_remainder;
           Alcotest.test_case "truncation sweep" `Quick test_truncation_sweep;
           Alcotest.test_case "flip sweep" `Quick test_flip_sweep;
           Alcotest.test_case "error poisons decoder" `Quick test_error_poisons;

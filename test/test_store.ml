@@ -77,6 +77,40 @@ let test_crc_detects_flip () =
   Alcotest.(check bool) "flip changes digest" true
     (base <> Crc32.digest "hello, artifact storf")
 
+(* CRC-32 by its definition, one bit at a time: the reference the
+   table-driven digest must agree with. *)
+let crc32_reference s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* Lengths 0-100 at random offsets cover the empty range, a tail
+   alone, and whole 8-byte blocks at every alignment; bytes lean
+   towards >= 0x80 so each word's top bit is set often. *)
+let prop_crc_matches_reference =
+  let gen =
+    let open QCheck.Gen in
+    let byte =
+      map Char.chr
+        (frequency [ (3, int_range 0x80 0xFF); (1, int_range 0 0x7F) ])
+    in
+    string_size ~gen:byte (int_range 0 100) >>= fun s ->
+    let n = String.length s in
+    int_range 0 n >>= fun pos ->
+    int_range 0 (n - pos) >|= fun len -> (s, pos, len)
+  in
+  QCheck.Test.make ~name:"digest_sub matches bitwise reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
+       gen)
+    (fun (s, pos, len) ->
+      Int32.equal (Crc32.digest_sub s ~pos ~len) (crc32_reference s ~pos ~len))
+
 (* --- wire ------------------------------------------------------------------ *)
 
 let test_wire_primitive_roundtrips () =
@@ -134,7 +168,15 @@ let test_wire_rejects_malformed () =
   Wire.u32 buf 0xFFFFFF;
   expect_corrupt "oversized count" (fun () ->
       Wire.read_list Wire.read_u8 (Wire.reader (Buffer.contents buf)));
-  expect_corrupt "bad bool" (fun () -> Wire.read_bool (Wire.reader "\x02"))
+  expect_corrupt "bad bool" (fun () -> Wire.read_bool (Wire.reader "\x02"));
+  (* A bounded reader ends at [pos + len], not at the string's end. *)
+  let r = Wire.reader ~pos:2 ~len:1 "ab\x07\x00\x00\x00" in
+  Alcotest.(check int) "bounded read" 7 (Wire.read_u8 r);
+  Wire.expect_end r;
+  expect_corrupt "read past bound" (fun () ->
+      Wire.read_u16 (Wire.reader ~pos:2 ~len:1 "ab\x07\x00\x00\x00"));
+  Alcotest.check_raises "range outside string" (Invalid_argument "Wire.reader")
+    (fun () -> ignore (Wire.reader ~pos:2 ~len:5 "abcd"))
 
 let test_wire_list_order () =
   let buf = Buffer.create 16 in
@@ -156,6 +198,33 @@ let test_codec_records () =
 
 let test_codec_records_empty () =
   check_roundtrip "empty records" Codec.outcome_records []
+
+(* The records codec's bytes, pinned: all six fault classes, every
+   consequence kind, negative and extreme 64-bit words. *)
+let test_codec_records_pinned () =
+  let records = Wire_fixtures.records in
+  check_roundtrip "fixture records" Codec.outcome_records records;
+  let buf = Buffer.create 1024 in
+  Codec.outcome_records.Codec.write buf records;
+  Alcotest.(check string) "md5" "47550b136a29549e5f3ed9e0614c07b6"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A register fault's target byte is the register's index in
+   Reg.all_arch (record layout: class byte, target tag, register). *)
+let test_codec_arch_bytes () =
+  Array.iteri
+    (fun i a ->
+      let rec_ =
+        { (List.hd Wire_fixtures.records) with
+          Outcome.fault = Fault.reg a ~bit:0 ~step:0 }
+      in
+      let buf = Buffer.create 64 in
+      Codec.write_record buf rec_;
+      let name = Xentry_isa.Reg.arch_name a in
+      Alcotest.(check int) name i (Char.code (Buffer.nth buf 2));
+      Alcotest.(check bool) (name ^ " decodes") true
+        (Codec.read_record (Wire.reader (Buffer.contents buf)) = rec_))
+    Xentry_isa.Reg.all_arch
 
 let test_codec_dataset () = check_roundtrip "dataset" Codec.dataset grid_dataset
 
@@ -591,6 +660,7 @@ let () =
         [
           Alcotest.test_case "known vectors" `Quick test_crc_known_vectors;
           Alcotest.test_case "detects flip" `Quick test_crc_detects_flip;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
         ] );
       ( "wire",
         [
@@ -604,6 +674,10 @@ let () =
         [
           Alcotest.test_case "records" `Quick test_codec_records;
           Alcotest.test_case "empty records" `Quick test_codec_records_empty;
+          Alcotest.test_case "records bytes pinned" `Quick
+            test_codec_records_pinned;
+          Alcotest.test_case "register byte is all_arch index" `Quick
+            test_codec_arch_bytes;
           Alcotest.test_case "dataset" `Quick test_codec_dataset;
           Alcotest.test_case "tree" `Quick test_codec_tree;
           Alcotest.test_case "forest" `Quick test_codec_forest;
